@@ -63,40 +63,6 @@ func TestSelectEdgeAllocFree(t *testing.T) {
 	}
 }
 
-// TestSelectRoundAllocFree gates the sharded round protocol: one full
-// selection round — parallel per-shard scans, the deterministic top-k
-// merge, and the first verified commit pick — must not allocate, cold or
-// warm, sequential or through the worker pool. The round buffers are
-// preallocated in setupShards; this test is what keeps them that way.
-func TestSelectRoundAllocFree(t *testing.T) {
-	ckt := loadDataset(t, "C1P1")
-	for _, tc := range []struct {
-		tag     string
-		workers int
-		shards  int
-	}{{"seq", 1, 1}, {"sharded", 2, 4}} {
-		p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: tc.workers, Shards: tc.shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := allocsPerRun(func() {
-			p.InvalidateAll()
-			if _, _, ok := p.SelectRound(false); !ok {
-				t.Fatal("no candidate")
-			}
-		}); got != 0 {
-			t.Errorf("%s: cold SelectRound: %.1f allocs/op, want 0", tc.tag, got)
-		}
-		if got := allocsPerRun(func() {
-			if _, _, ok := p.SelectRound(false); !ok {
-				t.Fatal("no candidate")
-			}
-		}); got != 0 {
-			t.Errorf("%s: warm SelectRound: %.1f allocs/op, want 0", tc.tag, got)
-		}
-	}
-}
-
 // TestTimingFlushAllocFree gates the incremental timing engine: a sparse
 // net perturbation followed by a dirty-set Flush — the inner loop of every
 // rip-up-and-reroute step — must not allocate.

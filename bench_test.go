@@ -552,40 +552,6 @@ func BenchmarkSelectEdge(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectRound measures one full sharded selection round — the
-// per-shard top-k scans, the deterministic merge and the first verified
-// commit pick — cold (every net rescored) against the single-shard
-// sequential layout and the parallel sharded layout. Comparing against
-// BenchmarkSelectEdge/cold isolates the cost of the round machinery on
-// top of the plain argmin sweep.
-func BenchmarkSelectRound(b *testing.B) {
-	for _, name := range []string{"C1P1", "C3P1"} {
-		ckt := mustDataset(b, name)
-		for _, pool := range []struct {
-			tag     string
-			workers int
-			shards  int
-		}{{"seq", 1, 1}, {"sharded", 0, 0}} {
-			b.Run(name+"/cold/"+pool.tag, func(b *testing.B) {
-				p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: pool.workers, Shards: pool.shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.InvalidateAll()
-				p.SelectRound(false) // warm lazily-sized scratch before measuring
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.InvalidateAll()
-					if _, _, ok := p.SelectRound(false); !ok {
-						b.Fatal("no candidate")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkDPrime measures the tentative-length d′ Dijkstra over every
 // candidate edge of every net, with the d′ cache bypassed.
 func BenchmarkDPrime(b *testing.B) {

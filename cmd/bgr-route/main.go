@@ -74,7 +74,6 @@ func main() {
 		congest = flag.Bool("congestion", false, "print the per-channel congestion table")
 		phases  = flag.Bool("phases", false, "print the per-phase wall-clock breakdown")
 		workers = flag.Int("workers", 0, "candidate-scoring workers (0 = one per CPU, 1 = sequential; result is identical)")
-		shards  = flag.Int("shards", 0, "selection shards for the concurrent engine's round scans (0 = size default; result is identical)")
 		wireTo  = flag.String("wire", "", "route remotely: submit to a bgr-serve wire listener at this address")
 		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, steiner")
 	)
@@ -87,7 +86,6 @@ func main() {
 		jc := service.JobConfig{
 			UseConstraints: !*uncon,
 			Workers:        *workers,
-			Shards:         *shards,
 			GreedyChannels: *greedy,
 		}
 		if *elmore {
@@ -106,7 +104,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := engine.Config{UseConstraints: !*uncon, Workers: *workers, Shards: *shards}
+	cfg := engine.Config{UseConstraints: !*uncon, Workers: *workers}
 	if *elmore {
 		cfg.DelayModel = engine.Elmore
 		cfg.RPerUm = *rPerUm

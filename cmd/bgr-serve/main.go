@@ -45,7 +45,6 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", 5*time.Minute, "per-job routing deadline")
 		drain       = flag.Duration("drain", time.Minute, "shutdown grace period for queued jobs")
 		scoreWork   = flag.Int("score-workers", 0, "default per-job candidate-scoring workers (0 = one per CPU)")
-		scoreShard  = flag.Int("score-shards", 0, "default per-job selection shards for sharded engines (0 = size default)")
 		jobTTL      = flag.Duration("job-ttl", 15*time.Minute, "how long finished jobs stay addressable (negative keeps forever)")
 		maxJobs     = flag.Int("max-jobs", 1024, "max retained terminal jobs, oldest evicted first (negative unlimited)")
 		maxBody     = flag.Int64("max-body", 8<<20, "POST /jobs body cap, bytes (413 on overflow; negative unlimited)")
@@ -70,7 +69,6 @@ func main() {
 		CacheSize:       *cache,
 		JobTimeout:      *jobTimeout,
 		ScoreWorkers:    *scoreWork,
-		ScoreShards:     *scoreShard,
 		TerminalTTL:     *jobTTL,
 		MaxTerminalJobs: *maxJobs,
 		MaxBodyBytes:    *maxBody,

@@ -5,15 +5,12 @@
 // By default it runs an embedded routing service (internal/service) and
 // mounts the service's job endpoints, so the page is backed by the same
 // API a bgr-serve deployment exposes: /jobs/{id}/svg, /jobs/{id}/timing,
-// /jobs/{id}/layout, /jobs/{id}/routedb and /metrics all work. The
-// pre-service one-shot render.Handler wiring remains available behind
-// -legacy.
+// /jobs/{id}/layout, /jobs/{id}/routedb and /metrics all work.
 //
 // Usage:
 //
 //	bgr-view -dataset C1P1 -addr 127.0.0.1:8080
 //	bgr-view -i design.ckt
-//	bgr-view -i design.ckt -legacy
 package main
 
 import (
@@ -25,11 +22,8 @@ import (
 	"net/http"
 	"os"
 
-	"repro/internal/chanroute"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/render"
 	"repro/internal/service"
 )
 
@@ -39,17 +33,12 @@ func main() {
 		dataset = flag.String("dataset", "", "generate a preset data set instead of reading a file")
 		addr    = flag.String("addr", "127.0.0.1:8080", "listen address")
 		uncon   = flag.Bool("unconstrained", false, "route without timing constraints")
-		legacy  = flag.Bool("legacy", false, "serve via the old one-shot render.Handler instead of the routing service")
 	)
 	flag.Parse()
 
 	ckt, err := load(*in, *dataset)
 	if err != nil {
 		fatal(err)
-	}
-	if *legacy {
-		serveLegacy(ckt, *addr, !*uncon)
-		return
 	}
 
 	// Render the circuit back to its text form: the service consumes the
@@ -104,27 +93,6 @@ func main() {
 	})
 	fmt.Printf("bgr-view: serving %s on http://%s/ (job %s)\n", ckt.Name, *addr, res.Job.ID)
 	if err := http.ListenAndServe(*addr, mux); err != nil {
-		fatal(err)
-	}
-}
-
-// serveLegacy is the pre-service path: route in-process and mount
-// render.Handler directly.
-func serveLegacy(ckt *circuit.Circuit, addr string, constraints bool) {
-	res, err := core.Route(ckt, core.Config{UseConstraints: constraints})
-	if err != nil {
-		fatal(err)
-	}
-	cr, err := chanroute.Route(res.Ckt, res.Graphs)
-	if err != nil {
-		fatal(err)
-	}
-	h, err := render.Handler(res, cr)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("bgr-view: serving %s on http://%s/ (legacy)\n", ckt.Name, addr)
-	if err := http.ListenAndServe(addr, h); err != nil {
 		fatal(err)
 	}
 }

@@ -98,12 +98,16 @@ func TestReOptimizeDeterministic(t *testing.T) {
 
 // TestParallelScoringDeterministic routes every data set in both modes
 // with the sequential scorer (Workers=1) and with parallel worker pools,
-// and requires byte-identical routedb JSON.
+// and requires byte-identical routedb JSON. The pools always include 8,
+// so the many-worker case is covered even on a machine with few CPUs.
 func TestParallelScoringDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset sweep in -short mode")
 	}
-	pools := []int{2, runtime.GOMAXPROCS(0)}
+	pools := []int{2, 8}
+	if n := runtime.GOMAXPROCS(0); n != 2 && n != 8 {
+		pools = append(pools, n)
+	}
 	for _, name := range gen.DatasetNames() {
 		p, err := gen.Dataset(name)
 		if err != nil {

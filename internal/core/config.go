@@ -94,15 +94,6 @@ type Config struct {
 	// sequential — so this only trades wall-clock for cores.
 	Workers int
 
-	// Shards bounds the channel-band regions the initial-routing phase
-	// partitions the nets into for the sharded round scans (shard.go). 0
-	// picks a size-based default; 1 disables the partition without
-	// disabling the round protocol. The routed result is byte-identical
-	// for every value — the per-shard candidate lists merge under the
-	// same strict total order the sequential argmin uses — so this, like
-	// Workers, only shapes how the scan work is split.
-	Shards int
-
 	// Trace, when non-nil, receives a phase-by-phase log (Fig. 2 trace).
 	Trace io.Writer
 

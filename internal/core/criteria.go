@@ -303,16 +303,14 @@ func (r *router) delayCriteriaSc(n, e int, sc *scratch) delayCrit {
 }
 
 // drainDensityChanges folds the density mutations since the last
-// selection call into the dirty-net bitset: a channel whose version
+// selectEdge call into the dirty-net bitset: a channel whose version
 // moved invalidates exactly the nets whose candidate graphs touch it
-// (chanNetBits). Channels drain in ascending order — OR-ing masks is
-// order-independent, but the canonical order keeps the traversal (and
-// anything ever derived from it) independent of which shard's commits
-// produced the log. An ordering-criterion flip invalidates everything.
+// (chanNetBits). OR-ing masks is order-independent, so the log drains in
+// mutation order. An ordering-criterion flip invalidates everything.
 // After it returns the superset invariant holds: a clear bit proves
 // bestValid without reading any epoch.
 func (r *router) drainDensityChanges(areaOrder bool) {
-	for _, ch := range r.dens.TakeChangedSorted() {
+	for _, ch := range r.dens.TakeChanged() {
 		row := r.chanNetBits[ch]
 		for w, m := range row {
 			r.dirtyBest[w] |= m

@@ -36,7 +36,6 @@ func fromShared(cfg engine.Config) Config {
 		Order:           cfg.Order,
 		NoFeedReroute:   cfg.NoFeedReroute,
 		Workers:         cfg.Workers,
-		Shards:          cfg.Shards,
 		Trace:           cfg.Trace,
 		Progress:        cfg.Progress,
 	}
@@ -50,7 +49,7 @@ type concurrentEngine struct{}
 func (concurrentEngine) Name() string { return engine.DefaultName }
 
 func (concurrentEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Progress: true, ECO: true, Phases: true, Workers: true, Sharded: true}
+	return engine.Capabilities{Progress: true, ECO: true, Phases: true, Workers: true}
 }
 
 func (concurrentEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {

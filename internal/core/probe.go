@@ -52,18 +52,6 @@ func (p *Probe) SelectEdge(areaOrder bool) (net, edge int, ok bool) {
 	return int(c.net), int(c.edge), ok
 }
 
-// SelectRound runs one sharded round scan (shard.go): parallel per-shard
-// top-k scans, the deterministic merge, and the interaction truncation.
-// It reports the round's first commit — always equal to what SelectEdge
-// would have returned on the same state.
-func (p *Probe) SelectRound(areaOrder bool) (net, edge int, ok bool) {
-	if !p.r.selectRound(areaOrder) {
-		return 0, 0, false
-	}
-	c, ok := p.r.roundNext(areaOrder)
-	return int(c.net), int(c.edge), ok
-}
-
 // InvalidateAll marks every net's cached score and criteria stale, so the
 // next SelectEdge rescores the whole circuit (the cold path).
 func (p *Probe) InvalidateAll() {

@@ -75,29 +75,6 @@ type router struct {
 	selStat selStats
 	timStat timStats
 
-	// Sharded round selection (see shard.go). shardOf maps each net to its
-	// channel-band shard; shardSt holds the per-shard scan state. The
-	// round* fields are the current commit round: the merged speculative
-	// list, the commit cursor, the kept-net footprint, and the revised-set
-	// bitset + list roundRefresh feeds and roundNext consults. All buffers
-	// are sized once in setupShards so the round loop never allocates.
-	shardSt  []*shardState
-	shardOf  []int32
-	mergeIdx []int32        // per-shard merge cursors (mergeRound scratch)
-	scanB    shardScanBatch // reusable parallel-scan batch (workpool task)
-	//bgr:owned -- reusable mergeRound commit list
-	roundList []rankedCand
-	roundPos  int
-	//bgr:owned -- reusable mergeRound kept-net footprint
-	roundNets []int32
-	revBits   []uint64
-	//bgr:owned -- reusable revised-set list (markRevised/roundNext)
-	revList []int32
-	//bgr:owned -- reusable roundRefresh stale buffer
-	roundStale []int32
-	//bgr:owned -- reusable roundRefresh unit buffer
-	roundUnits []int32
-
 	// trunkCnt[ch*nNets+n] counts net n's alive trunk edges in channel ch
 	// (flat row-major); the area phase uses it to visit only nets present
 	// in the max channel.
@@ -426,14 +403,20 @@ func (r *router) buildIndexes() {
 	for n := range r.graphs {
 		r.recomputeNetChans(n)
 	}
-	r.setupShards()
 }
 
 // recomputeNetChans rebuilds net n's channel set: every channel any of its
 // edges reads density criteria from. Dedup is by generation stamp in the
 // router-owned chanMark array, so a rebuild allocates nothing.
 func (r *router) recomputeNetChans(n int) {
-	gen := r.nextChanGen()
+	r.chanGen++
+	if r.chanGen == 0 { // wrapped: stale stamps could read as current
+		for i := range r.chanMark {
+			r.chanMark[i] = 0
+		}
+		r.chanGen = 1
+	}
+	gen := r.chanGen
 	r.clearNetChanBits(n)
 	chans := r.netChans[n][:0]
 	for i := range r.graphs[n].Edges {
@@ -446,21 +429,6 @@ func (r *router) recomputeNetChans(n int) {
 	r.netChans[n] = chans
 	r.markNetChanBits(n, chans)
 	r.markBestDirty(n)
-}
-
-// nextChanGen advances the chanMark generation, handling wrap-around so a
-// stale stamp can never read as current. Both channel-dedup users
-// (recomputeNetChans, mergeRound's footprint marking) draw generations
-// from here; each use is sequential, so sharing the stamp array is safe.
-func (r *router) nextChanGen() int32 {
-	r.chanGen++
-	if r.chanGen == 0 { // wrapped: stale stamps could read as current
-		for i := range r.chanMark {
-			r.chanMark[i] = 0
-		}
-		r.chanGen = 1
-	}
-	return r.chanGen
 }
 
 func (r *router) setup() error {
@@ -712,39 +680,24 @@ func (r *router) deleteEdge(n, e int) error {
 
 // initialRouting is the Fig. 2 lines 04-07 loop: repeatedly select a
 // non-bridge edge over all nets with the §3.4 heuristics and delete it.
-// The selection runs in sharded rounds (shard.go): selectRound scans the
-// shards in parallel and builds a speculative non-interacting commit
-// list, roundNext verifies and yields one commit at a time, and
-// roundRefresh re-establishes the invariant after each deletion — the
-// commit sequence equals the sequential selectEdge schedule exactly, so
-// output bytes are independent of Config.Workers and Config.Shards.
 func (r *router) initialRouting(ps *PhaseStat) error {
 	areaOrder := r.cfg.AreaFirst
 	for {
-		if err := r.check(); err != nil {
-			return err
-		}
-		if !r.selectRound(areaOrder) {
+		best, ok := r.selectEdge(nil, areaOrder)
+		if !ok {
 			return nil
 		}
-		for {
-			best, ok := r.roundNext(areaOrder)
-			if !ok {
-				break
-			}
-			kind := r.edgeOf(best).Kind
-			if err := r.deleteEdge(int(best.net), int(best.edge)); err != nil {
-				return err
-			}
-			ps.Deletions++
-			if int(kind) < len(ps.ByKind) {
-				ps.ByKind[kind]++
-			}
-			r.emitPhase(ps)
-			if err := r.check(); err != nil {
-				return err
-			}
-			r.roundRefresh(areaOrder)
+		kind := r.edgeOf(best).Kind
+		if err := r.deleteEdge(int(best.net), int(best.edge)); err != nil {
+			return err
+		}
+		ps.Deletions++
+		if int(kind) < len(ps.ByKind) {
+			ps.ByKind[kind]++
+		}
+		r.emitPhase(ps)
+		if err := r.check(); err != nil {
+			return err
 		}
 	}
 }

@@ -178,28 +178,6 @@ func (s *State) TakeChanged() []int32 {
 	return out
 }
 
-// TakeChangedSorted is TakeChanged with the channels in ascending order —
-// the canonical merge order the router's sharded selection drains density
-// changes in, so invalidation traversal order never depends on the
-// mutation order that produced the log. The sort is an in-place insertion
-// sort: the log is short and nearly sorted in practice, and the hot path
-// must not allocate.
-//
-//bgr:hot
-func (s *State) TakeChangedSorted() []int32 {
-	out := s.TakeChanged()
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i
-		for j > 0 && out[j-1] > v {
-			out[j] = out[j-1]
-			j--
-		}
-		out[j] = v
-	}
-	return out
-}
-
 // Version returns a counter that increments on every profile mutation of
 // the channel (d_M or d_m). Equal versions imply identical profiles, so
 // cached per-channel criteria stamped with it stay exact.

@@ -139,28 +139,6 @@ func (g *Graph) NetArcs(net int) []int { return g.netArcs[net] }
 // ConsOfNet returns the constraints whose Gd(P) contains an arc of net n.
 func (g *Graph) ConsOfNet(net int) []int { return g.consOfNet[net] }
 
-// ConesOverlap reports whether any constraint's Gd(P) cone contains arcs
-// of both net a and net b — the timing half of the router's shard
-// non-interaction criterion: with disjoint cones, changing one net's
-// delay cannot move any margin the other net's criteria read. The
-// consOfNet lists are built in ascending constraint order, so the query
-// is a sorted-merge intersection, allocation-free.
-func (g *Graph) ConesOverlap(a, b int) bool {
-	ca, cb := g.consOfNet[a], g.consOfNet[b]
-	i, j := 0, 0
-	for i < len(ca) && j < len(cb) {
-		switch {
-		case ca[i] == cb[j]:
-			return true
-		case ca[i] < cb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
-
 // InGd reports whether arc a belongs to Gd(P): its tail is reachable from
 // S_P and its head reaches T_P.
 func (g *Graph) InGd(p, a int) bool {
@@ -545,21 +523,6 @@ func unreached(x float64) bool {
 func (t *Timing) Analyze() {
 	t.MarkAll()
 	t.Flush()
-}
-
-// AnalyzeCons recomputes only the given constraints. Exact when the arc
-// delays that changed belong solely to nets inside those constraints'
-// subgraphs — the other constraints' longest paths are untouched by
-// construction. It neither consults nor clears the dirty set.
-//
-// Deprecated: nothing enforced the exactness precondition here — callers
-// had to derive the affected-constraint list themselves and could get it
-// wrong silently. Use the delay setters (or MarkNet) plus Flush instead:
-// Flush computes the affected set from the graph's net→constraint index.
-func (t *Timing) AnalyzeCons(ps []int) {
-	for _, p := range ps {
-		t.analyzeOne(p)
-	}
 }
 
 // DeltaIfNetDelay returns the paper's pessimistic arrival increase used in

@@ -281,51 +281,3 @@ func TestWorstViolation(t *testing.T) {
 		t.Fatalf("expected violation of P0, got p=%d m=%v", p, m)
 	}
 }
-
-// TestAnalyzeConsMatchesFull: re-analyzing only the constraints whose
-// nets changed gives exactly the same state as a full re-analysis.
-func TestAnalyzeConsMatchesFull(t *testing.T) {
-	ckt := circuit.SampleSmall()
-	// Add a second constraint over a different path so partial analysis
-	// has something to skip.
-	ckt.Cons = append(ckt.Cons, circuit.Constraint{
-		Name: "P1", Limit: 400,
-		From: []circuit.PinRef{circuit.Ext(2)},    // CKIN
-		To:   []circuit.PinRef{{Cell: 3, Pin: 1}}, // d0.CK
-	})
-	g := mustGraph(t, ckt)
-	f := func(seed int64, pick uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		wl := make([]float64, len(ckt.Nets))
-		for i := range wl {
-			wl[i] = rng.Float64() * 300
-		}
-		a := g.NewTiming()
-		a.SetLumped(wl)
-		a.Analyze()
-		b := g.NewTiming()
-		b.SetLumped(wl)
-		b.Analyze()
-		// Change one net in both; full re-analysis vs targeted.
-		n := int(pick) % len(wl)
-		wl[n] += 123
-		a.SetNetLumped(n, wl[n])
-		b.SetNetLumped(n, wl[n])
-		a.Analyze()
-		b.AnalyzeCons(g.ConsOfNet(n))
-		for p := range a.Cons {
-			if a.Cons[p].Worst != b.Cons[p].Worst || a.Cons[p].Margin != b.Cons[p].Margin {
-				return false
-			}
-			for v := range a.Cons[p].LpF {
-				if a.Cons[p].LpF[v] != b.Cons[p].LpF[v] || a.Cons[p].LpR[v] != b.Cons[p].LpR[v] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(67))}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -28,27 +28,3 @@ func TestGraphTooLarge(t *testing.T) {
 		t.Fatalf("err = %v, want ErrGraphTooLarge", err)
 	}
 }
-
-// TestConesOverlap cross-checks the sorted-merge constraint-cone overlap
-// query against the quadratic definition on the sample circuits.
-func TestConesOverlap(t *testing.T) {
-	for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiff} {
-		ckt := build()
-		g := mustGraph(t, ckt)
-		for a := range ckt.Nets {
-			for b := range ckt.Nets {
-				want := false
-				for _, pa := range g.ConsOfNet(a) {
-					for _, pb := range g.ConsOfNet(b) {
-						if pa == pb {
-							want = true
-						}
-					}
-				}
-				if got := g.ConesOverlap(a, b); got != want {
-					t.Errorf("%s: ConesOverlap(%d, %d) = %v, want %v", ckt.Name, a, b, got, want)
-				}
-			}
-		}
-	}
-}

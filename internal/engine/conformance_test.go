@@ -107,31 +107,6 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestConformanceShardDeterminism requires byte-identical routing
-// databases for every shard count, on every engine: engines with the
-// Sharded capability must merge their per-shard candidate lists back to
-// the sequential schedule, engines without it must ignore Shards
-// entirely.
-func TestConformanceShardDeterminism(t *testing.T) {
-	ckt := loadDataset(t, gen.DatasetNames()[0])
-	for _, eng := range engine.Names() {
-		t.Run(eng, func(t *testing.T) {
-			var want []byte
-			for _, s := range []int{0, 1, 2, 4} {
-				got := routeDB(t, eng, ckt, engine.Config{UseConstraints: true, Shards: s, Workers: 2})
-				if want == nil {
-					want = got
-					continue
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("shards=%d routed differently from shards=0 (%d vs %d bytes)",
-						s, len(got), len(want))
-				}
-			}
-		})
-	}
-}
-
 // TestWorkerCapabilityTruth pins the Capabilities.Workers contract:
 // engines claiming it must (per TestConformanceWorkerDeterminism) honor
 // the knob without changing bytes; engines not claiming it must clamp —

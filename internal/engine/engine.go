@@ -49,10 +49,6 @@ type Capabilities struct {
 	// byte-identical either way; this only tells callers whether extra
 	// cores buy wall-clock).
 	Workers bool
-	// Sharded: the engine honors Config.Shards — its decision loop runs
-	// the sharded round-scan protocol with byte-identical output for
-	// every shard count.
-	Sharded bool
 }
 
 // Engine is one global-routing algorithm behind the shared substrate.

@@ -92,12 +92,6 @@ type Config struct {
 	// sequential and steiner ignore it entirely.
 	Workers int
 
-	// Shards bounds the channel-band regions the concurrent engine's
-	// initial-routing phase partitions nets into for its sharded round
-	// scans (engines with the Sharded capability; 0 = size-based
-	// default). The routed result is byte-identical for every value.
-	Shards int
-
 	// Alpha scales the congestion penalty of the per-net engines
 	// (sequential, steiner); 0 means the engine default (0.35). The
 	// concurrent engine ignores it.

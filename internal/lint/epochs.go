@@ -36,16 +36,6 @@ import (
 // write to one of these fields (receiver struct named "router") is
 // sanctioned only inside a mark/clear/drain method or an initializer;
 // any other write needs a //bgr:allow epochs with the pairing argument.
-//
-// The fourth contract is the sharded round protocol's scan state: the
-// per-shard scratch (shardState's clear logs and top-k list — fields
-// with suffix "Log", plus "topK"/"nTop") is written lock-free by
-// concurrent shard scans, and the router's revised-net bitset
-// ("revBits") drives the per-commit winner verification. Byte-identical
-// merges depend on every mutation flowing through a shard-owned
-// scan/mark/clear/drain method (or an initializer laying the buffers
-// out); a stray write from anywhere else is a determinism leak the race
-// detector cannot see when it happens to be single-threaded.
 var analyzerEpochs = &Analyzer{
 	Name:              "epochs",
 	Doc:               "flags epoch/version and timing dirty-set writes outside their owning methods",
@@ -64,10 +54,6 @@ var analyzerEpochs = &Analyzer{
 			if name, ok := bitsetWrite(pkg, lhs); ok && !bitsetBumpSite(fd.Name.Name) {
 				out = append(out, pkg.diag(lhs.Pos(), "epochs",
 					"write to dirty-net bitset field %q outside a mark/clear/drain method (%s): route it through the owning mark/clear helpers so every density change stays paired with a drain", name, fd.Name.Name))
-			}
-			if name, ok := shardStateWrite(pkg, lhs); ok && !shardBumpSite(fd.Name.Name) {
-				out = append(out, pkg.diag(lhs.Pos(), "epochs",
-					"write to shard-round field %q outside a shard-owned scan/mark/clear/drain method (%s): per-shard scan state and the revised-net bitset may only mutate through their owning methods or the byte-identical merge breaks", name, fd.Name.Name))
 			}
 		}
 		for _, f := range pkg.Files {
@@ -179,47 +165,6 @@ func bitsetWrite(pkg *Package, lhs ast.Expr) (string, bool) {
 	}
 	if name == "dirtyBest" || strings.HasSuffix(name, "NetBits") {
 		return name, true
-	}
-	return "", false
-}
-
-// shardBumpSite reports whether a function name marks a sanctioned
-// shard-state mutation site: the per-shard scans ("scan"), the revised-
-// set writers ("mark"/"clear"), the consuming side ("drain"), or an
-// initializer laying the round buffers out.
-func shardBumpSite(name string) bool {
-	l := strings.ToLower(name)
-	for _, s := range []string{"scan", "mark", "clear", "drain"} {
-		if strings.Contains(l, s) {
-			return true
-		}
-	}
-	for _, p := range []string{"init", "new", "setup", "reset"} {
-		if strings.HasPrefix(l, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// shardStateWrite reports whether the assignment target is (an element
-// of) the sharded round protocol's scan state: shardState's per-scan
-// logs (suffix "Log") and top-k list ("topK"/"nTop"), or the router's
-// revised-net bitset ("revBits").
-func shardStateWrite(pkg *Package, lhs ast.Expr) (string, bool) {
-	name, recv, ok := fieldWrite(pkg, lhs)
-	if !ok {
-		return "", false
-	}
-	switch recv {
-	case "shardState":
-		if strings.HasSuffix(name, "Log") || name == "topK" || name == "nTop" {
-			return name, true
-		}
-	case "router":
-		if name == "revBits" {
-			return name, true
-		}
 	}
 	return "", false
 }

@@ -92,10 +92,6 @@ type Options struct {
 	// applied when a submission leaves config.workers at 0. It never
 	// changes routed results, so it is not part of the cache key.
 	ScoreWorkers int
-	// ScoreShards is the default selection shard count applied when a
-	// submission leaves config.shards at 0 (engines with the Sharded
-	// capability). Like ScoreWorkers it never changes routed results.
-	ScoreShards int
 
 	// TerminalTTL is how long a finished/failed/cancelled job stays
 	// addressable after reaching its terminal state (default 15m;
@@ -222,9 +218,12 @@ type JobConfig struct {
 	// (0 = one per CPU, 1 = sequential). The routed result is byte-identical
 	// for every value, so it is safe in the cache key.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the selection shard count of the concurrent engine's
-	// sharded round scans (0 = size-based default). Byte-identical
-	// results for every value, so it too is safe in the cache key.
+	// Shards is deprecated and ignored: the selection shard count it
+	// used to set no longer exists. It is still decoded so that old
+	// clients' submissions are not rejected as unknown fields, and Submit
+	// zeroes it before hashing, so a submission carrying it dedupes and
+	// caches with the same job sent without it. Journals store only the
+	// hash, so replay is unaffected.
 	Shards int `json:"shards,omitempty"`
 	// Alpha and TargetTracks tune the per-net engines (sequential,
 	// steiner): congestion penalty scale (0 = engine default 0.35) and
@@ -250,9 +249,6 @@ func (jc JobConfig) validate() error {
 	if jc.Workers < 0 {
 		return fmt.Errorf("workers %d must not be negative", jc.Workers)
 	}
-	if jc.Shards < 0 {
-		return fmt.Errorf("shards %d must not be negative", jc.Shards)
-	}
 	if math.IsNaN(jc.Alpha) || math.IsInf(jc.Alpha, 0) || jc.Alpha < 0 {
 		return fmt.Errorf("alpha %v must be a finite non-negative number", jc.Alpha)
 	}
@@ -273,7 +269,6 @@ func (jc JobConfig) toEngine() (engine.Config, error) {
 		MaxPasses:       jc.MaxPasses,
 		NoFeedReroute:   jc.NoFeedReroute,
 		Workers:         jc.Workers,
-		Shards:          jc.Shards,
 		Alpha:           jc.Alpha,
 		TargetTracks:    jc.TargetTracks,
 	}
@@ -532,6 +527,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 	if req.Config != nil {
 		jc = *req.Config
 	}
+	jc.Shards = 0 // deprecated and ignored; see JobConfig.Shards
 	if err := jc.validate(); err != nil {
 		return SubmitResult{}, fmt.Errorf("bad config: %w", err)
 	}
@@ -546,9 +542,6 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = s.opts.ScoreWorkers
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = s.opts.ScoreShards
 	}
 	timeout := s.opts.JobTimeout
 	if t := time.Duration(req.TimeoutMs) * time.Millisecond; t > 0 && t < timeout {
@@ -832,8 +825,8 @@ func (s *Server) finishJob(j *Job, err error) {
 }
 
 // buildPayload renders every response form from a finished routing. The
-// timing text matches render.Handler's (report + slack histogram over the
-// post-channel-routing lengths) so the bgr-view port is byte-compatible.
+// timing text is the report plus the slack histogram over the
+// post-channel-routing lengths.
 func buildPayload(res *engine.Result, greedy bool) (*Payload, error) {
 	algo := chanroute.LeftEdge
 	if greedy {

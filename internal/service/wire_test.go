@@ -125,6 +125,59 @@ func TestWireMatchesHTTP(t *testing.T) {
 	}
 }
 
+// TestDeprecatedShardsAccepted keeps old clients working: a config that
+// still carries the removed "shards" field is accepted over HTTP and over
+// the wire, and lands on the same cache slot (same hash, same bytes) as
+// the submission without it.
+func TestDeprecatedShardsAccepted(t *testing.T) {
+	ckt := readExample(t)
+	svc := New(Options{Workers: 1, Logf: silentLogf})
+	defer svc.Shutdown(context.Background())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	c := dialWire(t, startWire(t, svc))
+
+	base := postJob(t, ts.URL, map[string]any{"circuit": ckt})
+	if st := pollDone(t, ts.URL, base.ID); st.State != Done {
+		t.Fatalf("base job: state %s, error %q", st.State, st.Error)
+	}
+	wantDB := getBody(t, ts.URL+"/jobs/"+base.ID+"/routedb", 200)
+	hashOf := func(id string) string {
+		j, ok := svc.Job(id)
+		if !ok {
+			t.Fatalf("job %s not found", id)
+		}
+		return j.Hash
+	}
+	wantHash := hashOf(base.ID)
+
+	httpRep := postJob(t, ts.URL, map[string]any{
+		"circuit": ckt,
+		"config":  map[string]any{"use_constraints": true, "shards": 4},
+	})
+	if !httpRep.Cached || hashOf(httpRep.ID) != wantHash {
+		t.Fatalf("HTTP submit with shards missed the base cache slot: %+v", httpRep)
+	}
+	if got := getBody(t, ts.URL+"/jobs/"+httpRep.ID+"/routedb", 200); !bytes.Equal(got, wantDB) {
+		t.Fatal("HTTP submit with shards served different routedb bytes")
+	}
+
+	wireRep, err := c.Submit(ckt, []byte(`{"use_constraints":true,"shards":4}`), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wireRep.Cached || hashOf(wireRep.ID) != wantHash {
+		t.Fatalf("wire submit with shards missed the base cache slot: %+v", wireRep)
+	}
+	got, err := c.Result(wireRep.ID, wire.KindRouteDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantDB) {
+		t.Fatal("wire submit with shards served different routedb bytes")
+	}
+}
+
 // TestWirePipelining stages a burst of requests in one flush and
 // expects the responses strictly in request order.
 func TestWirePipelining(t *testing.T) {
