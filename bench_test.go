@@ -1,11 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5), plus the DESIGN.md ablations (A1-A6) and microbenches
-// of the router's hot kernels. Quality numbers (delay, area) are attached
-// to the benchmark output via ReportMetric so `go test -bench` prints the
-// tables' content, not just speed.
+// evaluation (§5), plus the DESIGN.md ablations (A1, A3-A6) and
+// microbenches of the router's hot kernels. Quality numbers (delay, area)
+// are attached to the benchmark output via ReportMetric so `go test -bench`
+// prints the tables' content, not just speed.
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chanroute"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/density"
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/feed"
 	"repro/internal/gen"
@@ -185,13 +187,6 @@ func ablationRun(b *testing.B, cfg core.Config) {
 func BenchmarkAblationCriteriaOrder(b *testing.B) {
 	b.Run("paper", func(b *testing.B) { ablationRun(b, core.Config{}) })
 	b.Run("areaFirst", func(b *testing.B) { ablationRun(b, core.Config{AreaFirst: true}) })
-}
-
-// BenchmarkAblationTentativeCache (A2): d'(e) shortcut for non-tree edges
-// disabled. Results must match; only time changes.
-func BenchmarkAblationTentativeCache(b *testing.B) {
-	b.Run("cached", func(b *testing.B) { ablationRun(b, core.Config{}) })
-	b.Run("recompute", func(b *testing.B) { ablationRun(b, core.Config{NoTentativeCache: true}) })
 }
 
 // BenchmarkAblationNetOrder (A3): slack-ordered feedthrough assignment vs
@@ -424,10 +419,10 @@ func BenchmarkBaselineSequential(b *testing.B) {
 	})
 	b.Run("sequential", func(b *testing.B) {
 		var delay float64
-		var res *seqroute.Result
+		var res *engine.Result
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = seqroute.Route(ckt, seqroute.Config{UseConstraints: true})
+			res, err = seqroute.Route(context.Background(), ckt, engine.Config{UseConstraints: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -69,8 +69,7 @@ func ablations(dataset string) error {
 	variants := []variant{
 		{"paper", "full algorithm (reference)", core.Config{}},
 		{"A1-areaFirst", "density criteria before Gl/LD everywhere", core.Config{AreaFirst: true}},
-		{"A2-noCache", "d'(e) recomputed for every edge (exact, slower)", core.Config{NoTentativeCache: true}},
-		{"A3-anyOrder", "feedthroughs assigned in index order", core.Config{ArbitraryNetOrder: true}},
+		{"A3-anyOrder", "feedthroughs assigned in index order", core.Config{Order: core.OrderIndex}},
 		{"A4-elmore", "Elmore RC delay model", core.Config{DelayModel: core.Elmore, RPerUm: 0.0005}},
 		{"A5-noImprove", "initial routing only", core.Config{SkipImprovement: true}},
 		{"A6-noFeedMove", "no feed re-assignment in rip-up", core.Config{NoFeedReroute: true}},

@@ -11,25 +11,14 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
-	"repro/internal/chanroute"
-	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/gen"
 	"repro/internal/report"
-
-	// The -bench per-engine smoke rows cover every registered engine.
-	_ "repro/internal/seqroute"
-	_ "repro/internal/steiner"
 )
 
 func main() {
@@ -42,18 +31,8 @@ func main() {
 		scaling  = flag.Bool("scaling", false, "print a runtime-scaling table instead of the paper tables")
 		baseline = flag.Bool("baseline", false, "append a sequential net-at-a-time baseline block")
 		robust   = flag.Int("robust", 0, "evaluate N fresh generator seeds and print the robustness statistics")
-		benchOut = flag.String("bench", "", "measure per-dataset routing wall-clock and write a BENCH_route.json document to this file")
-		repeats  = flag.Int("repeats", 5, "repetitions per dataset/mode for -bench (best time is reported)")
 	)
 	flag.Parse()
-
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, *repeats); err != nil {
-			fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *robust > 0 {
 		for _, style := range []gen.PlacementStyle{gen.P1, gen.P2} {
@@ -143,171 +122,4 @@ func main() {
 				name, run.DelayPs, run.AreaMm2, run.LengthMm, run.CPUSec)
 		}
 	}
-}
-
-// benchBaselineMs is the pre-optimization wall-clock of the full routing
-// pipeline (route + channel route + final delay) per dataset and mode,
-// milliseconds, measured with BenchmarkTable2 on the sequential scanner
-// before the incremental selection engine landed. Kept as the fixed
-// reference that BENCH_route.json speedups are computed against.
-var benchBaselineMs = map[string]float64{
-	"C1P1/constrained": 13.5, "C1P1/unconstrained": 9.2,
-	"C1P2/constrained": 16.3, "C1P2/unconstrained": 10.2,
-	"C2P1/constrained": 38.1, "C2P1/unconstrained": 25.5,
-	"C2P2/constrained": 39.9, "C2P2/unconstrained": 24.0,
-	"C3P1/constrained": 90.2, "C3P1/unconstrained": 62.5,
-}
-
-// benchEntry is one BENCH_route.json row.
-type benchEntry struct {
-	Name string `json:"name"`
-	Mode string `json:"mode"`
-	// Engine names the routing engine for the per-engine smoke rows;
-	// empty on the historical rows (the concurrent pipeline), so the
-	// pre-engine document trajectory is unchanged.
-	Engine     string  `json:"engine,omitempty"`
-	BaselineMs float64 `json:"baseline_ms"`
-	CurrentMs  float64 `json:"current_ms"`
-	Speedup    float64 `json:"speedup"`
-	// AllocsPerOp is the smallest heap-allocation count of one full
-	// pipeline run across the repeats (runtime.MemStats.Mallocs delta);
-	// the minimum, like the best time, excludes one-time warm-up noise.
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-	// PeakHeapBytes is the largest HeapAlloc observed right after any of
-	// the repeats — the live-heap footprint of routing the dataset.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
-}
-
-// benchDoc is the BENCH_route.json document.
-type benchDoc struct {
-	Description string       `json:"description"`
-	Repeats     int          `json:"repeats"`
-	Entries     []benchEntry `json:"entries"`
-}
-
-// writeBench times experiment.RunCircuit (the whole pipeline, like
-// BenchmarkTable2) on every dataset and mode, keeping the best of
-// `repeats` runs, and writes the comparison against benchBaselineMs.
-func writeBench(path string, repeats int) error {
-	if repeats < 1 {
-		repeats = 1
-	}
-	doc := benchDoc{
-		Description: "routing wall-clock per dataset/mode, best of N; baseline_ms is the pre-selection-engine sequential scanner",
-		Repeats:     repeats,
-	}
-	for _, name := range gen.DatasetNames() {
-		p, err := gen.Dataset(name)
-		if err != nil {
-			return err
-		}
-		ckt, err := gen.Generate(p)
-		if err != nil {
-			return err
-		}
-		for _, mode := range []struct {
-			tag string
-			use bool
-		}{{"constrained", true}, {"unconstrained", false}} {
-			best, allocs, peak, err := benchOne(ckt, core.Config{UseConstraints: mode.use}, repeats)
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", name, mode.tag, err)
-			}
-			e := benchEntry{
-				Name:          name,
-				Mode:          mode.tag,
-				BaselineMs:    benchBaselineMs[name+"/"+mode.tag],
-				CurrentMs:     float64(best) / float64(time.Millisecond),
-				AllocsPerOp:   allocs,
-				PeakHeapBytes: peak,
-			}
-			if e.BaselineMs > 0 && e.CurrentMs > 0 {
-				e.Speedup = e.BaselineMs / e.CurrentMs
-			}
-			doc.Entries = append(doc.Entries, e)
-			fmt.Printf("bench %-6s %-14s %8.2f ms (baseline %6.1f ms, %.2fx)  %8d allocs/op  heap %5.1f MB\n",
-				e.Name, e.Mode, e.CurrentMs, e.BaselineMs, e.Speedup, e.AllocsPerOp,
-				float64(e.PeakHeapBytes)/(1<<20))
-		}
-		// Per-engine smoke rows: the same constrained pipeline through
-		// every registered engine. Appended after the historical rows so
-		// existing consumers of the document see an unchanged prefix; the
-		// concurrent engine's row duplicates the constrained row above by
-		// construction, which makes engine overhead directly readable.
-		for _, engName := range engine.Names() {
-			best, allocs, peak, err := benchEngine(ckt, engName, repeats)
-			if err != nil {
-				return fmt.Errorf("%s engine %s: %w", name, engName, err)
-			}
-			e := benchEntry{
-				Name:          name,
-				Mode:          "constrained",
-				Engine:        engName,
-				BaselineMs:    benchBaselineMs[name+"/constrained"],
-				CurrentMs:     float64(best) / float64(time.Millisecond),
-				AllocsPerOp:   allocs,
-				PeakHeapBytes: peak,
-			}
-			if e.BaselineMs > 0 && e.CurrentMs > 0 {
-				e.Speedup = e.BaselineMs / e.CurrentMs
-			}
-			doc.Entries = append(doc.Entries, e)
-			fmt.Printf("bench %-6s engine=%-11s %8.2f ms (baseline %6.1f ms, %.2fx)  %8d allocs/op  heap %5.1f MB\n",
-				e.Name, e.Engine, e.CurrentMs, e.BaselineMs, e.Speedup, e.AllocsPerOp,
-				float64(e.PeakHeapBytes)/(1<<20))
-		}
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func benchOne(ckt *circuit.Circuit, cfg core.Config, repeats int) (best time.Duration, allocs, peak uint64, err error) {
-	return benchLoop(repeats, func() error {
-		_, err := experiment.RunCircuit(ckt, cfg)
-		return err
-	})
-}
-
-// benchEngine times the same full pipeline (route + channel route +
-// final delay) going through a named registered engine.
-func benchEngine(ckt *circuit.Circuit, engName string, repeats int) (best time.Duration, allocs, peak uint64, err error) {
-	return benchLoop(repeats, func() error {
-		res, err := engine.Route(context.Background(), engName, ckt, engine.Config{UseConstraints: true})
-		if err != nil {
-			return err
-		}
-		cr, err := chanroute.Route(res.Ckt, res.Graphs)
-		if err != nil {
-			return err
-		}
-		_, _, err = experiment.FinalDelay(res.Ckt, cr.NetLenUm)
-		return err
-	})
-}
-
-func benchLoop(repeats int, run func() error) (best time.Duration, allocs, peak uint64, err error) {
-	var ms runtime.MemStats
-	for i := 0; i < repeats; i++ {
-		runtime.ReadMemStats(&ms)
-		m0 := ms.Mallocs
-		start := time.Now()
-		if err := run(); err != nil {
-			return 0, 0, 0, err
-		}
-		d := time.Since(start)
-		runtime.ReadMemStats(&ms)
-		if a := ms.Mallocs - m0; i == 0 || a < allocs {
-			allocs = a
-		}
-		if ms.HeapAlloc > peak {
-			peak = ms.HeapAlloc
-		}
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, allocs, peak, nil
 }

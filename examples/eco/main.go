@@ -24,7 +24,7 @@ func main() {
 
 	// First tape-out: routed with a deliberately poor net ordering, as if
 	// timing had not been a concern.
-	first, err := core.Route(ckt, core.Config{UseConstraints: true, ArbitraryNetOrder: true})
+	first, err := core.Route(ckt, core.Config{UseConstraints: true, Order: core.OrderIndex})
 	if err != nil {
 		log.Fatal(err)
 	}

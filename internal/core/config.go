@@ -20,16 +20,16 @@
 // widens the chip when feedthroughs run out.
 package core
 
-import (
-	"io"
+import "repro/internal/engine"
 
-	"repro/internal/engine"
-)
+// The configuration, delay-model and ordering types are shared by every
+// routing engine and live in internal/engine; the aliases keep this
+// package's historical API (core.Config literals, core.Result consumers)
+// source-compatible.
 
-// The delay-model, ordering, progress, phase-stat and result types are
-// shared by every routing engine and live in internal/engine; the aliases
-// keep this package's historical API (core.Config literals, core.Result
-// consumers) source-compatible.
+// Config controls a routing run; see engine.Config for which fields the
+// concurrent engine honors (all but Alpha and TargetTracks).
+type Config = engine.Config
 
 // DelayModel selects how net delays are derived from routed trees.
 type DelayModel = engine.DelayModel
@@ -42,70 +42,6 @@ const (
 	// tentative tree plus the lumped driver terms.
 	Elmore = engine.Elmore
 )
-
-// Config controls a routing run.
-type Config struct {
-	// UseConstraints enables the timing criteria. With it false the
-	// router is the paper's "without constraints" baseline: pure
-	// area-driven edge selection (delays are still reported).
-	UseConstraints bool
-
-	// DelayModel picks Lumped (default, the paper) or Elmore.
-	DelayModel DelayModel
-	// RPerUm is the wire resistance in kΩ/µm for the Elmore model.
-	RPerUm float64
-
-	// AreaFirst makes every phase use the area-phase criteria ordering
-	// (density before Gl/LD). The paper uses it only in phase 10; this is
-	// ablation A1.
-	AreaFirst bool
-
-	// SkipImprovement disables phases 08-10 (ablation A5).
-	SkipImprovement bool
-	// MaxPasses bounds each improvement phase's sweeps. 0 means the
-	// default of 3.
-	MaxPasses int
-
-	// NoTentativeCache disables the d'(e) shortcut that reuses the
-	// current length for edges outside the tentative tree (ablation A2;
-	// the shortcut is exact, so results must not change).
-	NoTentativeCache bool
-
-	// ArbitraryNetOrder skips the static-slack ordering for feedthrough
-	// assignment and uses net index order (ablation A3). Equivalent to
-	// Order = OrderIndex.
-	ArbitraryNetOrder bool
-
-	// Order picks the feedthrough-assignment net ordering. The zero value
-	// is the paper's ascending static slack (which degrades to index
-	// order when constraints are off or absent).
-	Order OrderStrategy
-
-	// NoFeedReroute disables feedthrough re-assignment during the rip-up
-	// and reroute phases (ablation A6). By default a net whose plain
-	// reroute is rejected is retried once with its feedthroughs moved to
-	// the free slots nearest its terminal center.
-	NoFeedReroute bool
-
-	// Workers bounds the worker pool that re-scores invalidated nets
-	// during edge selection. 0 means one worker per available CPU; 1 runs
-	// fully sequentially. The routed result is identical for every value —
-	// scoring units are data-disjoint and the cross-net argmin is always
-	// sequential — so this only trades wall-clock for cores.
-	Workers int
-
-	// Trace, when non-nil, receives a phase-by-phase log (Fig. 2 trace).
-	Trace io.Writer
-
-	// Progress, when non-nil, receives Progress snapshots: one at each
-	// phase start, one after every edge deletion (initial routing) or
-	// reroute attempt (improvement phases), and one with Done set when the
-	// phase finishes. It is called synchronously from the routing
-	// goroutine, so it must be fast and must not call back into the
-	// router. Combined with RouteCtx it lets a caller observe and abort a
-	// run mid-flight.
-	Progress func(Progress)
-}
 
 // OrderStrategy selects the net order for feedthrough assignment (§3.1).
 type OrderStrategy = engine.OrderStrategy
@@ -121,9 +57,11 @@ const (
 	OrderFanout = engine.OrderFanout
 )
 
-func (c Config) maxPasses() int {
-	if c.MaxPasses <= 0 {
+// maxPasses resolves Config.MaxPasses: 0 means the default of 3 sweeps
+// per improvement phase.
+func maxPasses(cfg Config) int {
+	if cfg.MaxPasses <= 0 {
 		return 3
 	}
-	return c.MaxPasses
+	return cfg.MaxPasses
 }

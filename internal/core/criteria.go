@@ -66,8 +66,13 @@ func (r *router) keyFor(c candidate, sc *scratch) candKey {
 	return k
 }
 
-// keyLess orders two evaluated candidates exactly like the original
-// pairwise §3.4/§3.5 comparison (see lessSc's documentation).
+// keyLess reports whether candidate a should be deleted in preference to
+// b, given their evaluated keys.
+//
+// Initial/delay ordering (§3.4): Cd, Gl, LD, then the five density
+// conditions, then the longer edge. Area ordering (§3.5): Cd, density
+// conditions, Gl, LD, longer edge. Without constraints only the density
+// conditions apply. Ties end at a deterministic index order.
 func (r *router) keyLess(ka, kb *candKey, a, b candidate, areaOrder bool) bool {
 	if r.cfg.UseConstraints {
 		if ka.cd != kb.cd {
@@ -104,8 +109,11 @@ func (r *router) keyLess(ka, kb *candKey, a, b candidate, areaOrder bool) bool {
 	return a.edge < b.edge
 }
 
-// keyDensCompare is densCompare over evaluated keys.
+// keyDensCompare applies the five §3.4 density conditions to evaluated
+// keys; negative means a wins, positive means b wins, zero is a tie.
 func keyDensCompare(ka, kb *candKey) int {
+	// Condition 1: prefer a trunk edge over any other kind — deleting a
+	// trunk directly reduces channel density.
 	if ka.trunk != kb.trunk {
 		if ka.trunk {
 			return -1
@@ -113,21 +121,27 @@ func keyDensCompare(ka, kb *candKey) int {
 		return 1
 	}
 	switch {
+	// Condition 2: F_m = C_m(c) − D_m(e), smaller first (do not grow the
+	// unavoidable density C_m).
 	case ka.fm != kb.fm:
 		if ka.fm < kb.fm {
 			return -1
 		}
 		return 1
+	// Condition 3: N_m = NC_m(c) − ND_m(e), smaller first.
 	case ka.nm != kb.nm:
 		if ka.nm < kb.nm {
 			return -1
 		}
 		return 1
+	// Condition 4: C_M(c) − D_M(e), smaller first (greedy reduction of
+	// the worst channel).
 	case ka.fM != kb.fM:
 		if ka.fM < kb.fM {
 			return -1
 		}
 		return 1
+	// Condition 5: NC_M(c) − ND_M(e), smaller first.
 	case ka.nM != kb.nM:
 		if ka.nM < kb.nM {
 			return -1
@@ -169,10 +183,10 @@ func (r *router) newScratch() *scratch {
 
 // dPrime returns d'(e): the tentative-tree length of the net if edge e
 // were deleted (§3.2). Edges outside the current tentative tree cannot
-// change any shortest path, so the current length is exact for them — the
-// A2 ablation flag disables that shortcut to demonstrate it.
+// change any shortest path, so the current length is exact for them
+// (TestTentativeCacheAblationExact checks it against LengthExcluding).
 func (r *router) dPrime(n, e int) float64 {
-	if !r.cfg.NoTentativeCache && !r.trees[n].InTree[e] {
+	if !r.trees[n].InTree[e] {
 		return r.wl[n]
 	}
 	if r.dpCache[n] == nil {
@@ -212,13 +226,9 @@ func (r *router) affectedNets(n int) []int {
 	return r.rrNets[:1]
 }
 
-// delayCriteria computes (with caching) the delay criteria of candidate
-// (n, e) against the current timing state, using the router's sequential
-// scratch. Parallel scorers call delayCriteriaSc with their own scratch.
-func (r *router) delayCriteria(n, e int) delayCrit {
-	return r.delayCriteriaSc(n, e, r.sc)
-}
-
+// delayCriteriaSc computes (with caching) the delay criteria of candidate
+// (n, e) against the current timing state, using the given scoring
+// scratch.
 func (r *router) delayCriteriaSc(n, e int, sc *scratch) delayCrit {
 	if r.dcCache[n] == nil {
 		r.dcCache[n] = make([]delayCrit, len(r.graphs[n].Edges))
@@ -568,72 +578,6 @@ func (r *router) bestValid(n int, areaOrder bool) bool {
 
 const fEps = 1e-9
 
-// less reports whether candidate a should be deleted in preference to b,
-// using the router's sequential scratch.
-//
-// Initial/delay ordering (§3.4): Cd, Gl, LD, then the five density
-// conditions, then the longer edge. Area ordering (§3.5): Cd, density
-// conditions, Gl, LD, longer edge. Without constraints only the density
-// conditions apply. Ties end at a deterministic index order.
-func (r *router) less(a, b candidate, areaOrder bool) bool {
-	return r.lessSc(a, b, areaOrder, r.sc)
-}
-
-func (r *router) lessSc(a, b candidate, areaOrder bool, sc *scratch) bool {
-	ka, kb := r.keyFor(a, sc), r.keyFor(b, sc)
-	return r.keyLess(&ka, &kb, a, b, areaOrder)
-}
-
 func (r *router) edgeOf(c candidate) *rgraph.Edge {
 	return &r.graphs[c.net].Edges[c.edge]
-}
-
-// densCompare applies the five §3.4 density conditions; negative means a
-// wins, positive means b wins, zero is a tie.
-func (r *router) densCompare(a, b candidate) int {
-	ea, eb := r.edgeOf(a), r.edgeOf(b)
-	// Condition 1: prefer a trunk edge over any other kind — deleting a
-	// trunk directly reduces channel density.
-	ta, tb := ea.Kind == rgraph.ETrunk, eb.Kind == rgraph.ETrunk
-	if ta != tb {
-		if ta {
-			return -1
-		}
-		return 1
-	}
-	ca := r.dens.Channel(ea.Ch)
-	cb := r.dens.Channel(eb.Ch)
-	sa := r.dens.Edge(ea.Ch, ea.X1, ea.X2)
-	sb := r.dens.Edge(eb.Ch, eb.X1, eb.X2)
-	// Condition 2: F_m = C_m(c) − D_m(e), smaller first (do not grow the
-	// unavoidable density C_m).
-	if fa, fb := ca.Cm-sa.Dm, cb.Cm-sb.Dm; fa != fb {
-		if fa < fb {
-			return -1
-		}
-		return 1
-	}
-	// Condition 3: N_m = NC_m(c) − ND_m(e), smaller first.
-	if na, nb := ca.NCm-sa.NDm, cb.NCm-sb.NDm; na != nb {
-		if na < nb {
-			return -1
-		}
-		return 1
-	}
-	// Condition 4: C_M(c) − D_M(e), smaller first (greedy reduction of
-	// the worst channel).
-	if fa, fb := ca.CM-sa.DM, cb.CM-sb.DM; fa != fb {
-		if fa < fb {
-			return -1
-		}
-		return 1
-	}
-	// Condition 5: NC_M(c) − ND_M(e), smaller first.
-	if na, nb := ca.NCM-sa.NDM, cb.NCM-sb.NDM; na != nb {
-		if na < nb {
-			return -1
-		}
-		return 1
-	}
-	return 0
 }

@@ -1,12 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/dgraph"
-	"repro/internal/feed"
 	"repro/internal/rgraph"
 )
 
@@ -14,26 +13,8 @@ import (
 // density) without running any routing phase.
 func newTestRouter(t *testing.T, ckt *circuit.Circuit, cfg Config) *router {
 	t.Helper()
-	if err := ckt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	if cfg.UseConstraints {
-		dg0, err := dgraph.New(ckt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order = slackOrder(dg0)
-	}
-	fr, err := feed.Assign(ckt, order)
+	r, err := newRouter(context.Background(), ckt, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	r := &router{cfg: cfg, ckt: fr.Ckt, geo: fr.Geo, feeds: fr.Feeds}
-	if r.dg, err = dgraph.New(r.ckt); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.setup(); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -90,7 +71,7 @@ func TestDelayCriteriaZeroForHarmlessEdges(t *testing.T) {
 			continue // only check nets on no constrained path
 		}
 		for _, e := range g.NonBridges() {
-			c := r.delayCriteria(n, e)
+			c := r.delayCriteriaSc(n, e, r.sc)
 			if c.cd != 0 || c.gl != 0 || c.ld != 0 {
 				t.Fatalf("net %s (unconstrained) edge %d has criteria %+v",
 					r.ckt.Nets[n].Name, e, c)
@@ -103,7 +84,7 @@ func TestDelayCriteriaNonNegative(t *testing.T) {
 	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
-			c := r.delayCriteria(n, e)
+			c := r.delayCriteriaSc(n, e, r.sc)
 			if c.cd < 0 || c.gl < -1e-12 || c.ld < 0 {
 				t.Fatalf("negative criteria %+v for net %d edge %d", c, n, e)
 			}
@@ -115,8 +96,8 @@ func TestDelayCriteriaCacheConsistent(t *testing.T) {
 	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
 	n := 1
 	e := r.graphs[n].NonBridges()[0]
-	a := r.delayCriteria(n, e)
-	b := r.delayCriteria(n, e) // cached
+	a := r.delayCriteriaSc(n, e, r.sc)
+	b := r.delayCriteriaSc(n, e, r.sc) // cached
 	if a != b {
 		t.Fatalf("cache changed the answer: %+v vs %+v", a, b)
 	}
@@ -126,7 +107,7 @@ func TestDelayCriteriaCacheConsistent(t *testing.T) {
 	if err := r.deleteEdge(n, nb[len(nb)-1]); err != nil {
 		t.Fatal(err)
 	}
-	c := r.delayCriteria(n, e)
+	c := r.delayCriteriaSc(n, e, r.sc)
 	if c.tim != r.timEpoch[n] {
 		t.Fatal("cache not refreshed after epoch bump")
 	}
@@ -140,10 +121,10 @@ func TestSelectEdgePrefersHarmless(t *testing.T) {
 	if !ok {
 		t.Fatal("no candidates")
 	}
-	bc := r.delayCriteria(int(best.net), int(best.edge))
+	bc := r.delayCriteriaSc(int(best.net), int(best.edge), r.sc)
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
-			c := r.delayCriteria(n, e)
+			c := r.delayCriteriaSc(n, e, r.sc)
 			if c.cd < bc.cd {
 				t.Fatalf("selected Cd=%d but edge (%d,%d) has Cd=%d", bc.cd, n, e, c.cd)
 			}
@@ -157,23 +138,26 @@ func TestSelectEdgePrefersHarmless(t *testing.T) {
 func TestLessIsStrictWeakOrder(t *testing.T) {
 	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
 	var cands []candidate
+	var keys []candKey
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
-			cands = append(cands, candidate{int32(n), int32(e)})
+			c := candidate{int32(n), int32(e)}
+			cands = append(cands, c)
+			keys = append(keys, r.keyFor(c, r.sc))
 		}
 	}
-	for _, a := range cands {
-		if r.less(a, a, false) {
-			t.Fatalf("less(a,a) true for %+v", a)
+	for i, a := range cands {
+		if r.keyLess(&keys[i], &keys[i], a, a, false) {
+			t.Fatalf("keyLess(a,a) true for %+v", a)
 		}
 	}
 	// Antisymmetry on a sample of pairs.
 	for i := 0; i < len(cands); i++ {
 		for j := i + 1; j < len(cands); j += 3 {
-			ab := r.less(cands[i], cands[j], false)
-			ba := r.less(cands[j], cands[i], false)
+			ab := r.keyLess(&keys[i], &keys[j], cands[i], cands[j], false)
+			ba := r.keyLess(&keys[j], &keys[i], cands[j], cands[i], false)
 			if ab && ba {
-				t.Fatalf("less not antisymmetric for %+v / %+v", cands[i], cands[j])
+				t.Fatalf("keyLess not antisymmetric for %+v / %+v", cands[i], cands[j])
 			}
 			if !ab && !ba {
 				t.Fatalf("unresolved tie (index fallback broken) for %+v / %+v", cands[i], cands[j])
@@ -199,10 +183,11 @@ func TestDensCompareTrunkFirst(t *testing.T) {
 	if trunk.net == -1 || other.net == -1 {
 		t.Skip("fixture lacks mixed candidates")
 	}
-	if r.densCompare(trunk, other) >= 0 {
+	kt, ko := r.keyFor(trunk, r.sc), r.keyFor(other, r.sc)
+	if keyDensCompare(&kt, &ko) >= 0 {
 		t.Fatal("trunk edge must win condition 1")
 	}
-	if r.densCompare(other, trunk) <= 0 {
+	if keyDensCompare(&ko, &kt) <= 0 {
 		t.Fatal("condition 1 must be symmetric")
 	}
 }

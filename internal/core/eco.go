@@ -19,7 +19,7 @@ func ReOptimize(prev *Result, cfg Config) (*Result, error) {
 	if err := prev.Ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	r := &router{cfg: cfg, ckt: prev.Ckt, geo: prev.Geo}
+	r := &router{cfg: cfg, ckt: prev.Ckt, geo: prev.Geo, addedPitches: prev.AddedPitches}
 	nNets := len(r.ckt.Nets)
 	if len(prev.Graphs) != nNets || len(prev.Feeds) != nNets {
 		return nil, fmt.Errorf("core: previous result does not match the circuit")
@@ -47,28 +47,15 @@ func ReOptimize(prev *Result, cfg Config) (*Result, error) {
 	}
 
 	if cfg.UseConstraints {
-		r.runPhase("eco-recover", func(ps *PhaseStat) error { return r.recoverViolations(ps) })
-		r.runPhase("eco-delay", func(ps *PhaseStat) error { return r.improveDelay(ps) })
-	}
-	r.runPhase("eco-area", func(ps *PhaseStat) error { return r.improveArea(ps) })
-
-	for n, g := range r.graphs {
-		if !g.IsTree() {
-			return nil, fmt.Errorf("core: net %s left in a non-tree state", r.ckt.Nets[n].Name)
+		if err := r.runPhase("eco-recover", func(ps *PhaseStat) error { return r.recoverViolations(ps) }); err != nil {
+			return nil, err
+		}
+		if err := r.runPhase("eco-delay", func(ps *PhaseStat) error { return r.improveDelay(ps) }); err != nil {
+			return nil, err
 		}
 	}
-	res := &Result{
-		Ckt: r.ckt, Geo: r.geo, Feeds: r.feeds, Graphs: r.graphs,
-		WirelenUm: r.wl, Timing: r.tm, Dens: r.dens,
-		AddedPitches: prev.AddedPitches, Phases: r.phases,
+	if err := r.runPhase("eco-area", func(ps *PhaseStat) error { return r.improveArea(ps) }); err != nil {
+		return nil, err
 	}
-	for _, l := range r.wl {
-		res.TotalWirelenUm += l
-	}
-	for p := range r.tm.Cons {
-		if d := r.tm.Cons[p].Worst; d > res.Delay {
-			res.Delay = d
-		}
-	}
-	return res, nil
+	return r.result()
 }

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/gen"
 	"repro/internal/verify"
 )
@@ -34,6 +37,30 @@ func snapshotAlive(res *core.Result) [][]bool {
 		}
 	}
 	return out
+}
+
+// TestReOptimizePhaseError: an error raised at an ECO phase boundary must
+// come back from ReOptimize, not be swallowed into a partial result.
+func TestReOptimizePhaseError(t *testing.T) {
+	prev, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected eco fault")
+	faultinject.Set(func(point, detail string) error {
+		if point == faultinject.CorePhase && detail == "eco-recover" {
+			return injected
+		}
+		return nil
+	})
+	t.Cleanup(faultinject.Clear)
+	res, err := core.ReOptimize(prev, core.Config{UseConstraints: true})
+	if !errors.Is(err, injected) {
+		t.Fatalf("ReOptimize error = %v, want the injected fault", err)
+	}
+	if res != nil {
+		t.Fatal("ReOptimize returned a result alongside the error")
+	}
 }
 
 func TestReOptimizeLeavesPrevUntouched(t *testing.T) {
@@ -69,7 +96,7 @@ func TestReOptimizeLeavesPrevUntouched(t *testing.T) {
 // ordering, then re-optimizes: the ECO pass (rip-up with feed
 // re-assignment) must claw back a good share of the lost delay.
 func TestReOptimizeRecoversBadOrder(t *testing.T) {
-	bad := routeDataset(t, "C1P2", core.Config{UseConstraints: true, ArbitraryNetOrder: true})
+	bad := routeDataset(t, "C1P2", core.Config{UseConstraints: true, Order: core.OrderIndex})
 	good := routeDataset(t, "C1P2", core.Config{UseConstraints: true})
 	eco, err := core.ReOptimize(bad, core.Config{UseConstraints: true})
 	if err != nil {

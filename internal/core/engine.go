@@ -21,26 +21,6 @@ type PhaseStat = engine.PhaseStat
 // Result is a finished global routing.
 type Result = engine.Result
 
-// fromShared maps the shared engine configuration onto this package's
-// Config. The concurrent engine has no use for Alpha/TargetTracks (those
-// drive the per-net engines) and exposes its ablation switches
-// (NoTentativeCache, ArbitraryNetOrder) only on its own Config.
-func fromShared(cfg engine.Config) Config {
-	return Config{
-		UseConstraints:  cfg.UseConstraints,
-		DelayModel:      cfg.DelayModel,
-		RPerUm:          cfg.RPerUm,
-		AreaFirst:       cfg.AreaFirst,
-		SkipImprovement: cfg.SkipImprovement,
-		MaxPasses:       cfg.MaxPasses,
-		Order:           cfg.Order,
-		NoFeedReroute:   cfg.NoFeedReroute,
-		Workers:         cfg.Workers,
-		Trace:           cfg.Trace,
-		Progress:        cfg.Progress,
-	}
-}
-
 // concurrentEngine adapts this package to the engine registry under the
 // default name. The adapter is a stateless value; all run state lives in
 // the per-call router.
@@ -53,7 +33,7 @@ func (concurrentEngine) Capabilities() engine.Capabilities {
 }
 
 func (concurrentEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
-	res, err := RouteCtx(ctx, ckt, fromShared(cfg))
+	res, err := RouteCtx(ctx, ckt, cfg)
 	if err != nil {
 		return nil, err
 	}

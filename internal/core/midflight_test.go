@@ -92,9 +92,12 @@ func TestLongerEdgeTieBreak(t *testing.T) {
 	// Find two trunk candidates in the same channel with equal density
 	// context but different lengths — fall back to synthetic comparison.
 	var cands []candidate
+	var keys []candKey
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
-			cands = append(cands, candidate{int32(n), int32(e)})
+			c := candidate{int32(n), int32(e)}
+			cands = append(cands, c)
+			keys = append(keys, r.keyFor(c, r.sc))
 		}
 	}
 	for i := 0; i < len(cands); i++ {
@@ -103,18 +106,19 @@ func TestLongerEdgeTieBreak(t *testing.T) {
 				continue
 			}
 			a, b := cands[i], cands[j]
-			if r.densCompare(a, b) != 0 {
+			ka, kb := &keys[i], &keys[j]
+			if keyDensCompare(ka, kb) != 0 {
 				continue
 			}
-			la, lb := r.edgeOf(a).Len, r.edgeOf(b).Len
+			la, lb := ka.edgeLen, kb.edgeLen
 			if la <= lb+fEps {
 				continue
 			}
 			// a is strictly longer with tied density: a must win.
-			if !r.less(a, b, false) {
+			if !r.keyLess(ka, kb, a, b, false) {
 				t.Fatalf("longer edge (%v, %.1fµm) lost to (%v, %.1fµm)", a, la, b, lb)
 			}
-			if r.less(b, a, false) {
+			if r.keyLess(kb, ka, b, a, false) {
 				t.Fatal("tie-break not antisymmetric")
 			}
 			return

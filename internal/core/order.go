@@ -11,11 +11,7 @@ import (
 // netOrder resolves the configured feedthrough-assignment net ordering.
 // nil means index order (feed.Assign's default).
 func netOrder(ckt *circuit.Circuit, cfg Config) ([]int, error) {
-	strategy := cfg.Order
-	if cfg.ArbitraryNetOrder {
-		strategy = OrderIndex
-	}
-	switch strategy {
+	switch cfg.Order {
 	case OrderSlack:
 		if !cfg.UseConstraints || len(ckt.Cons) == 0 {
 			return nil, nil
@@ -24,7 +20,7 @@ func netOrder(ckt *circuit.Circuit, cfg Config) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		return slackOrder(dg0), nil
+		return dg0.SlackOrder(), nil
 	case OrderIndex:
 		return nil, nil
 	case OrderHPWL:

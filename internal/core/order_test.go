@@ -43,10 +43,10 @@ func TestNetOrderStrategies(t *testing.T) {
 			t.Fatalf("fanout order not descending at %d", i)
 		}
 	}
-	// ArbitraryNetOrder overrides to index order.
-	order, err = netOrder(ckt, Config{UseConstraints: true, ArbitraryNetOrder: true})
+	// Index order overrides the slack default even with constraints.
+	order, err = netOrder(ckt, Config{UseConstraints: true, Order: OrderIndex})
 	if err != nil || order != nil {
-		t.Fatalf("arbitrary order = %v, %v", order, err)
+		t.Fatalf("index order = %v, %v", order, err)
 	}
 }
 

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
+	"context"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/dgraph"
-	"repro/internal/feed"
 )
 
 // Probe exposes the candidate-selection engine on a fully initialized but
@@ -21,24 +19,10 @@ type Probe struct {
 }
 
 // NewProbe validates the circuit and builds the router state exactly as
-// Route does, stopping before the first phase.
+// Route does (newRouter), stopping before the first phase.
 func NewProbe(ckt *circuit.Circuit, cfg Config) (*Probe, error) {
-	if err := ckt.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	order, err := netOrder(ckt, cfg)
+	r, err := newRouter(context.Background(), ckt, cfg)
 	if err != nil {
-		return nil, err
-	}
-	fr, err := feed.Assign(ckt, order)
-	if err != nil {
-		return nil, err
-	}
-	r := &router{cfg: cfg, ckt: fr.Ckt, geo: fr.Geo, feeds: fr.Feeds}
-	if r.dg, err = dgraph.New(r.ckt); err != nil {
-		return nil, err
-	}
-	if err := r.setup(); err != nil {
 		return nil, err
 	}
 	return &Probe{r: r}, nil

@@ -108,6 +108,9 @@ type router struct {
 	graphPool   []*rgraph.Graph
 
 	phases []PhaseStat
+	// addedPitches is the §4.3 chip widening the routing inherits from
+	// feedthrough assignment, columns.
+	addedPitches int
 }
 
 // congScored is one entry of congestedNets' working list.
@@ -168,30 +171,10 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: routing aborted: %w", err)
 	}
-	if err := ckt.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	// Net ordering for feedthrough assignment (§3.1). The default is
-	// ascending static slack from the zero-interconnect analysis; without
-	// constraints there are no slacks (the paper's baseline run), so
-	// index order is used — this is one of the two places the timing
-	// information enters.
-	order, err := netOrder(ckt, cfg)
+	r, err := newRouter(ctx, ckt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	fr, err := feed.Assign(ckt, order)
-	if err != nil {
-		return nil, err
-	}
-	r := &router{ctx: ctx, cfg: cfg, ckt: fr.Ckt, geo: fr.Geo, feeds: fr.Feeds}
-	if r.dg, err = dgraph.New(r.ckt); err != nil {
-		return nil, err
-	}
-	if err := r.setup(); err != nil {
-		return nil, err
-	}
-
 	if err := r.runPhase("initial", func(ps *PhaseStat) error { return r.initialRouting(ps) }); err != nil {
 		return nil, err
 	}
@@ -208,6 +191,49 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 			return nil, err
 		}
 	}
+	res, err := r.result()
+	if err != nil {
+		return nil, err
+	}
+	res.Duration = time.Since(start) //bgr:allow clockuse -- profiling only: feeds Result.Duration, never steers routing
+	return res, nil
+}
+
+// newRouter validates ckt and builds the complete routing state a route
+// starts from: the net ordering for feedthrough assignment (§3.1),
+// feedthrough assignment itself, the delay graph and the routing graphs,
+// timing and density (setup). It stops before the first phase. RouteCtx
+// and NewProbe both start here, so the probe measures exactly the state
+// Route routes.
+func newRouter(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*router, error) {
+	if err := ckt.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	// The default order is ascending static slack from the
+	// zero-interconnect analysis; without constraints there are no slacks
+	// (the paper's baseline run), so index order is used — this is one of
+	// the two places the timing information enters.
+	order, err := netOrder(ckt, cfg)
+	if err != nil {
+		return nil, err
+	}
+	fr, err := feed.Assign(ckt, order)
+	if err != nil {
+		return nil, err
+	}
+	r := &router{ctx: ctx, cfg: cfg, ckt: fr.Ckt, geo: fr.Geo, feeds: fr.Feeds, addedPitches: fr.AddedPitches}
+	if r.dg, err = dgraph.New(r.ckt); err != nil {
+		return nil, err
+	}
+	if err := r.setup(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// result packages the finished routing state, checking that every net
+// ended as a tree.
+func (r *router) result() (*Result, error) {
 	for n, g := range r.graphs {
 		if !g.IsTree() {
 			return nil, fmt.Errorf("core: net %s did not finish as a tree", r.ckt.Nets[n].Name)
@@ -216,7 +242,7 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 	res := &Result{
 		Ckt: r.ckt, Geo: r.geo, Feeds: r.feeds, Graphs: r.graphs,
 		WirelenUm: r.wl, Timing: r.tm, Dens: r.dens,
-		AddedPitches: fr.AddedPitches, Phases: r.phases,
+		AddedPitches: r.addedPitches, Phases: r.phases,
 	}
 	for _, l := range r.wl {
 		res.TotalWirelenUm += l
@@ -226,7 +252,6 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 			res.Delay = d
 		}
 	}
-	res.Duration = time.Since(start) //bgr:allow clockuse -- profiling only: feeds Result.Duration, never steers routing
 	return res, nil
 }
 
@@ -310,17 +335,6 @@ func (r *router) liveViolations() int {
 		}
 	}
 	return v
-}
-
-// slackOrder returns net indices ordered by ascending static slack.
-func slackOrder(dg *dgraph.Graph) []int {
-	slacks := dg.NetSlacks()
-	order := make([]int, len(slacks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return slacks[order[a]] < slacks[order[b]] })
-	return order
 }
 
 // initNetState allocates the per-net router state shared by Route's setup
@@ -595,7 +609,7 @@ func (r *router) refreshTrees(nets []int) error {
 
 // touchNet advances the timing epoch of a net and its differential mate,
 // invalidating their cached delay criteria and ranked bests. The mate is
-// included because delayCriteria(n, e) reads both halves of a pair.
+// included because delayCriteriaSc(n, e) reads both halves of a pair.
 func (r *router) touchNet(n int) {
 	r.timEpoch[n]++
 	r.markBestDirty(n)
@@ -724,7 +738,7 @@ func pen(x, tau float64) float64 {
 // recoverViolations (Fig. 2 line 08): while constraints are violated,
 // rip-up and reroute the nets on their critical paths, worst margin first.
 func (r *router) recoverViolations(ps *PhaseStat) error {
-	for pass := 0; pass < r.cfg.maxPasses(); pass++ {
+	for pass := 0; pass < maxPasses(r.cfg); pass++ {
 		violated := r.violatedCons()
 		if len(violated) == 0 {
 			return nil
@@ -775,7 +789,7 @@ func (r *router) violatedCons() []int {
 // improveDelay (Fig. 2 line 09): consider every constraint in ascending
 // margin order and reroute its critical nets.
 func (r *router) improveDelay(ps *PhaseStat) error {
-	for pass := 0; pass < r.cfg.maxPasses(); pass++ {
+	for pass := 0; pass < maxPasses(r.cfg); pass++ {
 		order := r.consBuf[:0]
 		for i := range r.tm.Cons {
 			order = append(order, i)
@@ -812,7 +826,7 @@ func (r *router) improveDelay(ps *PhaseStat) error {
 // improveArea (Fig. 2 line 10): reroute nets running through the most
 // congested columns first, with the density criteria promoted (§3.5).
 func (r *router) improveArea(ps *PhaseStat) error {
-	for pass := 0; pass < r.cfg.maxPasses(); pass++ {
+	for pass := 0; pass < maxPasses(r.cfg); pass++ {
 		nets := r.congestedNets()
 		improvedAny := false
 		for _, n := range nets {

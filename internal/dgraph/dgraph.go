@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/circuit"
 )
@@ -415,7 +416,7 @@ type Timing struct {
 	Cons     []ConsTiming
 
 	// Workers bounds the Flush fan-out over dirty constraints, following
-	// the core.Config.Workers convention: 0 = one per CPU, 1 = sequential.
+	// the engine.Config.Workers convention: 0 = one per CPU, 1 = sequential.
 	Workers int
 
 	// Dirty-set bookkeeping. Owned by MarkNet/MarkAll/Flush — the bgr-vet
@@ -665,4 +666,17 @@ func (g *Graph) NetSlacks() []float64 {
 		}
 	}
 	return slacks
+}
+
+// SlackOrder returns the net indices by ascending NetSlacks, ties in index
+// order: the §3.1 net order every engine assigns feedthroughs and routes
+// nets in.
+func (g *Graph) SlackOrder() []int {
+	slacks := g.NetSlacks()
+	order := make([]int, len(slacks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return slacks[order[a]] < slacks[order[b]] })
+	return order
 }

@@ -8,12 +8,13 @@
 //   - "concurrent" (internal/core): the paper's concurrent edge-deletion
 //     router, the default. Highest quality; supports ECO re-optimization
 //     and byte-identical results across worker counts.
-//   - "sequential" (internal/seqroute): the net-at-a-time baseline the
-//     paper argues against. Fast drafts, no global margin tracking.
 //   - "steiner" (internal/steiner): timing-constrained cost-distance
 //     Steiner trees per Held & Perner — per-net trees built under delay
 //     bounds instead of deleted from redundant graphs. The middle of the
 //     quality/runtime space.
+//   - "sequential" (internal/seqroute): the net-at-a-time baseline the
+//     paper argues against — steiner's build phase without refinement.
+//     Fast drafts, no global margin tracking.
 //
 // Engines register themselves in init(); importing an engine package is
 // what makes it selectable. The registry is a slice, not a map, so

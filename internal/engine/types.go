@@ -51,11 +51,10 @@ func (s OrderStrategy) String() string {
 	return "?"
 }
 
-// Config is the shared engine configuration: the client-facing knobs the
-// service and the commands expose per job. Every engine reads the subset
-// it understands and ignores the rest (each field documents who honors
-// it); engine-internal ablation switches stay in the engines' own config
-// types (e.g. core.Config).
+// Config is the one engine configuration: the knobs the service and the
+// commands expose per job, and the ablation switches of DESIGN.md §5.
+// Every engine reads the subset it understands and ignores the rest (each
+// field documents who honors it); core.Config is an alias of this type.
 type Config struct {
 	// UseConstraints enables the timing criteria (all engines). With it
 	// false the run is the area-driven baseline; delays are still
@@ -72,7 +71,8 @@ type Config struct {
 	// (concurrent engine only; ablation A1).
 	AreaFirst bool
 	// SkipImprovement disables the improvement phases (concurrent:
-	// Fig. 2 lines 08-10; steiner: the delay-refinement passes).
+	// Fig. 2 lines 08-10, ablation A5; steiner: the delay-refinement
+	// passes; sequential always runs without them).
 	SkipImprovement bool
 	// MaxPasses bounds each improvement phase's sweeps. 0 means the
 	// engine default (3 for concurrent, 8 refinement passes for
@@ -80,10 +80,14 @@ type Config struct {
 	MaxPasses int
 
 	// Order picks the feedthrough-assignment net ordering (concurrent
-	// engine; the zero value is the paper's ascending static slack).
+	// engine; the zero value is the paper's ascending static slack, which
+	// degrades to index order when constraints are off or absent;
+	// OrderIndex is ablation A3).
 	Order OrderStrategy
 	// NoFeedReroute disables feedthrough re-assignment during rip-up
-	// (concurrent engine only; ablation A6).
+	// (concurrent engine only; ablation A6). By default a net whose plain
+	// reroute is rejected is retried once with its feedthroughs moved to
+	// the free slots nearest its terminal center.
 	NoFeedReroute bool
 
 	// Workers bounds intra-run parallelism (concurrent engine's
@@ -93,8 +97,8 @@ type Config struct {
 	Workers int
 
 	// Alpha scales the congestion penalty of the per-net engines
-	// (sequential, steiner); 0 means the engine default (0.35). The
-	// concurrent engine ignores it.
+	// (sequential, steiner); 0 means the default (0.35). The concurrent
+	// engine ignores it.
 	Alpha float64
 	// TargetTracks is the per-channel density above which congestion
 	// starts to cost for the per-net engines; 0 derives it from the
@@ -105,7 +109,9 @@ type Config struct {
 	Trace io.Writer
 
 	// Progress, when non-nil, receives Progress snapshots from engines
-	// with the Progress capability. It is called synchronously from the
+	// with the Progress capability: one at each phase start, one per step
+	// (edge deletion, reroute attempt or routed net), and one with Done
+	// set when the phase finishes. It is called synchronously from the
 	// routing goroutine, so it must be fast and must not call back into
 	// the engine.
 	Progress func(Progress)
@@ -116,8 +122,8 @@ type Config struct {
 type Progress struct {
 	// Phase is the engine's phase name (the concurrent engine uses the
 	// Fig. 2 names "initial", "recover-violations", "improve-delay",
-	// "improve-area"; steiner uses "build" and "refine"; sequential
-	// uses "route").
+	// "improve-area"; steiner uses "build" and "refine"; sequential,
+	// steiner's build phase alone, uses "build").
 	Phase     string
 	Deletions int
 	Reroutes  int

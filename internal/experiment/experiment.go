@@ -5,6 +5,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/lowerbound"
 	"repro/internal/seqroute"
@@ -211,7 +213,7 @@ func Summarize(rows []*Row) Headline {
 // circuit (same measurement pipeline as RunCircuit).
 func RunBaseline(ckt *circuit.Circuit) (Run, error) {
 	start := time.Now()
-	res, err := seqroute.Route(ckt, seqroute.Config{UseConstraints: true})
+	res, err := seqroute.Route(context.Background(), ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		return Run{}, err
 	}

@@ -1,16 +1,18 @@
 package seqroute_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 	"repro/internal/seqroute"
 )
 
 // ExampleRoute runs the sequential net-at-a-time baseline on the sample
 // circuit.
 func ExampleRoute() {
-	res, err := seqroute.Route(circuit.SampleSmall(), seqroute.Config{UseConstraints: true})
+	res, err := seqroute.Route(context.Background(), circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -1,264 +1,35 @@
-// Package seqroute is a sequential, net-at-a-time global router — the
-// class of timing-driven routers the paper positions itself against
+// Package seqroute registers the sequential, net-at-a-time global router
+// — the class of timing-driven routers the paper positions itself against
 // (Jackson/Kuh, Prasitjutrakul/Kubitz, Cong et al.; single-net routing
-// under net-delay constraints). It serves as the comparison baseline: it
-// shares every substrate with the concurrent router (feed assignment,
-// routing graphs, density, timing) but routes one net after another, each
-// by congestion-weighted shortest paths, with no concurrent edge-deletion
-// and no global margin tracking.
+// under net-delay constraints) — as the "sequential" engine, the
+// comparison baseline.
 //
-// Nets are processed in ascending static slack. For each net, the router
-// keeps the spanning tree the congestion-weighted Dijkstra union selects
-// (edge cost = length · (1 + α·overflow)), commits its density, and moves
-// on. Earlier nets never see later nets' congestion — the fundamental
-// weakness the paper's concurrent scheme removes.
-//
-// Config defaults (applied through withDefaults, in one place): an unset
-// Alpha is 0.35, and an unset TargetTracks is derived from the average
-// per-channel demand of the (possibly widened) circuit — total
-// half-perimeter column demand spread over channels × columns, floored
-// at one track.
+// The baseline is the steiner engine's build phase without refinement:
+// nets route one after another in ascending static slack, each by the
+// congestion-weighted shortest-path union (edge cost = length ·
+// (1 + α·overflow)), and every committed tree's density is final. Earlier
+// nets never see later nets' congestion and nothing is revisited — the
+// fundamental weakness the paper's concurrent scheme removes.
 package seqroute
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"sort"
-	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/density"
-	"repro/internal/dgraph"
 	"repro/internal/engine"
-	"repro/internal/feed"
-	"repro/internal/grid"
-	"repro/internal/rgraph"
+	"repro/internal/steiner"
 )
 
-// Config tunes the baseline.
-type Config struct {
-	// UseConstraints orders nets by static slack (as the paper's router
-	// does); without it nets route in index order.
-	UseConstraints bool
-	// Alpha scales the congestion penalty; 0 means the default of 0.35.
-	// (Pure shortest paths need a negative sentinel nobody uses; the
-	// experiments always want some congestion pressure.)
-	Alpha float64
-	// TargetTracks is the per-channel density above which congestion
-	// starts to cost. 0 derives it from the average demand.
-	TargetTracks int
-	// Progress, when non-nil, receives a snapshot at phase start, after
-	// every committed net, and a final Done snapshot.
-	Progress func(engine.Progress)
-}
-
-// withDefaults resolves the zero-value knobs — the single place defaults
-// are applied. It runs after feedthrough assignment so the demand-derived
-// TargetTracks sees the widened chip.
-func (cfg Config) withDefaults(ckt *circuit.Circuit) Config {
-	if cfg.Alpha == 0 { //bgr:allow floateq -- zero-value Config sentinel: an unset Alpha is exactly 0
-		cfg.Alpha = 0.35
-	}
-	if cfg.TargetTracks <= 0 {
-		cfg.TargetTracks = estimateTarget(ckt)
-	}
-	return cfg
-}
-
-// Result mirrors the concurrent router's result shape (the subset the
-// experiments need).
-type Result struct {
-	Ckt            *circuit.Circuit
-	Geo            *grid.Geometry
-	Feeds          [][]rgraph.FeedPos
-	Graphs         []*rgraph.Graph
-	WirelenUm      []float64
-	TotalWirelenUm float64
-	// Timing is the final analysis over the committed trees.
-	Timing       *dgraph.Timing
-	Dens         *density.State
-	Delay        float64 // worst constrained-path delay, estimated
-	AddedPitches int
-}
-
-// Route runs the baseline.
-func Route(ckt *circuit.Circuit, cfg Config) (*Result, error) {
-	return RouteCtx(context.Background(), ckt, cfg)
-}
-
-// RouteCtx runs the baseline, aborting between nets when ctx is
-// cancelled.
-func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, error) {
-	if err := ckt.Validate(); err != nil {
-		return nil, fmt.Errorf("seqroute: %w", err)
-	}
-	var order []int
-	if cfg.UseConstraints {
-		dg0, err := dgraph.New(ckt)
-		if err != nil {
-			return nil, err
-		}
-		order = slackOrder(dg0)
-	}
-	fr, err := feed.Assign(ckt, order)
+// Route runs the baseline: steiner.Route with SkipImprovement forced, so
+// the result is the build phase alone.
+func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
+	cfg.SkipImprovement = true
+	res, err := steiner.Route(ctx, ckt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(fr.Ckt)
-	res := &Result{
-		Ckt: fr.Ckt, Geo: fr.Geo, Feeds: fr.Feeds,
-		Graphs:       make([]*rgraph.Graph, len(fr.Ckt.Nets)),
-		WirelenUm:    make([]float64, len(fr.Ckt.Nets)),
-		Dens:         density.New(fr.Ckt.Channels(), fr.Ckt.Cols),
-		AddedPitches: fr.AddedPitches,
-	}
-
-	full := order
-	if full == nil {
-		full = make([]int, len(fr.Ckt.Nets))
-		for i := range full {
-			full[i] = i
-		}
-	}
-	if cfg.Progress != nil {
-		cfg.Progress(engine.Progress{Phase: "route"})
-	}
-	routed := 0
-	done := make([]bool, len(fr.Ckt.Nets))
-	for _, n := range full {
-		if done[n] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		nets := []int{n}
-		if m := fr.Ckt.Nets[n].DiffMate; m != circuit.NoNet {
-			nets = append(nets, m)
-		}
-		for _, nn := range nets {
-			if err := routeNet(res, nn, cfg); err != nil {
-				return nil, err
-			}
-			done[nn] = true
-			routed++
-			if cfg.Progress != nil {
-				cfg.Progress(engine.Progress{Phase: "route", Accepted: routed})
-			}
-		}
-	}
-	// Final timing on the committed trees.
-	dg, err := dgraph.New(res.Ckt)
-	if err != nil {
-		return nil, err
-	}
-	tm := dg.NewTiming()
-	tm.SetLumped(res.WirelenUm)
-	tm.Analyze()
-	res.Timing = tm
-	violations := 0
-	for p := range tm.Cons {
-		if tm.Cons[p].Worst > res.Delay {
-			res.Delay = tm.Cons[p].Worst
-		}
-		if tm.Cons[p].Margin < 0 {
-			violations++
-		}
-	}
-	for _, l := range res.WirelenUm {
-		res.TotalWirelenUm += l
-	}
-	if cfg.Progress != nil {
-		cfg.Progress(engine.Progress{Phase: "route", Accepted: routed, Violations: violations, Done: true})
-	}
+	res.Engine = "sequential"
 	return res, nil
-}
-
-// routeNet routes one net by a congestion-weighted tentative tree and
-// commits it: every edge outside the selected tree is discarded.
-func routeNet(res *Result, n int, cfg Config) error {
-	g, err := rgraph.Build(res.Ckt, res.Geo, n, res.Feeds[n])
-	if err != nil {
-		return err
-	}
-	tree, err := congestionTree(g, res.Dens, cfg.Alpha, cfg.TargetTracks)
-	if err != nil {
-		return err
-	}
-	// Keep only tree edges: the union is connected and spans the
-	// terminals by construction. Recompute bridges so downstream
-	// consumers (chanroute, verify) see a consistent tree.
-	g.KeepOnly(tree)
-	g.RecomputeBridges()
-	res.Graphs[n] = g
-	ft := g.FinalTree()
-	res.WirelenUm[n] = ft.Length
-	for _, e := range ft.Edges {
-		ed := &g.Edges[e]
-		if ed.Kind == rgraph.ETrunk {
-			res.Dens.Add(ed.Ch, ed.X1, ed.X2, g.Pitch)
-			res.Dens.AddBridge(ed.Ch, ed.X1, ed.X2, g.Pitch)
-		}
-	}
-	return nil
-}
-
-// congestionTree runs Dijkstra from the driver with congestion-inflated
-// edge costs and returns the union of the chosen paths.
-func congestionTree(g *rgraph.Graph, dens *density.State, alpha float64, target int) (*rgraph.Tree, error) {
-	cost := func(e int) float64 {
-		ed := &g.Edges[e]
-		c := ed.Len
-		if ed.Kind == rgraph.ETrunk {
-			over := dens.Edge(ed.Ch, ed.X1, ed.X2).DM + g.Pitch - target
-			if over > 0 {
-				c *= 1 + alpha*float64(over)
-			}
-			if c == 0 { //bgr:allow floateq -- guards against an exactly-zero-length trunk cost before Dijkstra
-				c = 1e-9
-			}
-		}
-		return c
-	}
-	return g.TentativeWeighted(cost)
-}
-
-// estimateTarget derives a per-channel density target from total demand:
-// half-perimeter demand spread over the channels.
-func estimateTarget(ckt *circuit.Circuit) int {
-	var demandCols int
-	for n := range ckt.Nets {
-		minC, maxC := math.MaxInt32, -1
-		for _, t := range ckt.Terminals(n) {
-			for _, pos := range ckt.PositionsOf(t) {
-				if pos.Col < minC {
-					minC = pos.Col
-				}
-				if pos.Col > maxC {
-					maxC = pos.Col
-				}
-			}
-		}
-		if maxC > minC {
-			demandCols += (maxC - minC) * ckt.Nets[n].Pitch
-		}
-	}
-	per := demandCols / (ckt.Channels() * ckt.Cols)
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-func slackOrder(dg *dgraph.Graph) []int {
-	slacks := dg.NetSlacks()
-	order := make([]int, len(slacks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return slacks[order[a]] < slacks[order[b]] })
-	return order
 }
 
 // sequentialEngine adapts the baseline to the engine registry.
@@ -267,34 +38,11 @@ type sequentialEngine struct{}
 func (sequentialEngine) Name() string { return "sequential" }
 
 func (sequentialEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Progress: true}
+	return engine.Capabilities{Progress: true, Phases: true}
 }
 
 func (sequentialEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
-	start := time.Now() //bgr:allow clockuse -- profiling only
-	res, err := RouteCtx(ctx, ckt, Config{
-		UseConstraints: cfg.UseConstraints,
-		Alpha:          cfg.Alpha,
-		TargetTracks:   cfg.TargetTracks,
-		Progress:       cfg.Progress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &engine.Result{
-		Engine:         "sequential",
-		Ckt:            res.Ckt,
-		Geo:            res.Geo,
-		Feeds:          res.Feeds,
-		Graphs:         res.Graphs,
-		WirelenUm:      res.WirelenUm,
-		TotalWirelenUm: res.TotalWirelenUm,
-		Timing:         res.Timing,
-		Delay:          res.Delay,
-		Dens:           res.Dens,
-		AddedPitches:   res.AddedPitches,
-		Duration:       time.Since(start), //bgr:allow clockuse -- profiling only
-	}, nil
+	return Route(ctx, ckt, cfg)
 }
 
 func init() { engine.Register(sequentialEngine{}) }

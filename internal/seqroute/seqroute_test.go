@@ -1,19 +1,46 @@
 package seqroute
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/verify"
 )
 
-func TestRouteSampleSmall(t *testing.T) {
-	res, err := Route(circuit.SampleSmall(), Config{UseConstraints: true})
+func route(t *testing.T, ckt *circuit.Circuit, cfg engine.Config) *engine.Result {
+	t.Helper()
+	res, err := Route(context.Background(), ckt, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return res
+}
+
+func c1p1(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	p, err := gen.Dataset("C1P1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt, err := gen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckt
+}
+
+func TestRouteSampleSmall(t *testing.T) {
+	res := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
+	if res.Engine != "sequential" {
+		t.Errorf("Engine = %q, want sequential", res.Engine)
+	}
+	if len(res.Phases) != 1 || res.Phases[0].Name != "build" {
+		t.Errorf("phases = %+v, want the build phase alone", res.Phases)
 	}
 	for n, g := range res.Graphs {
 		if g == nil {
@@ -40,18 +67,8 @@ func TestRouteSampleSmall(t *testing.T) {
 }
 
 func TestBaselineVersusConcurrent(t *testing.T) {
-	p, err := gen.Dataset("C1P1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt, err := gen.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Route(ckt, Config{UseConstraints: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckt := c1p1(t)
+	seq := route(t, ckt, engine.Config{UseConstraints: true})
 	con, err := core.Route(ckt, core.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
@@ -72,22 +89,12 @@ func TestBaselineVersusConcurrent(t *testing.T) {
 
 func TestCongestionAvoidance(t *testing.T) {
 	// With a high alpha the baseline must respect congestion: route the
-	// same circuit with alpha 0 (pure shortest) and a large alpha, and
+	// same circuit with alpha ~0 (pure shortest) and a large alpha, and
 	// check max channel density does not increase.
-	p, _ := gen.Dataset("C1P1")
-	ckt, err := gen.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pure, err := Route(ckt, Config{UseConstraints: true, Alpha: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avoid, err := Route(ckt, Config{UseConstraints: true, Alpha: 2.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxCM := func(r *Result) int {
+	ckt := c1p1(t)
+	pure := route(t, ckt, engine.Config{UseConstraints: true, Alpha: 1e-9})
+	avoid := route(t, ckt, engine.Config{UseConstraints: true, Alpha: 2.0})
+	maxCM := func(r *engine.Result) int {
 		_, cm := r.Dens.MaxCM()
 		return cm
 	}
@@ -101,22 +108,8 @@ func TestCongestionAvoidance(t *testing.T) {
 	}
 }
 
-func TestEstimateTargetPositive(t *testing.T) {
-	if got := estimateTarget(circuit.SampleSmall()); got < 1 {
-		t.Fatalf("target %d", got)
-	}
-}
-
 func TestBaselinePassesStructuralAudit(t *testing.T) {
-	p, _ := gen.Dataset("C1P1")
-	ckt, err := gen.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Route(ckt, Config{UseConstraints: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := route(t, c1p1(t), engine.Config{UseConstraints: true})
 	// The baseline promises trees, feed coverage and consistent lengths,
 	// but not §4.1 pair parallelism (a documented weakness).
 	v := verify.Check(verify.Parts{

@@ -10,9 +10,10 @@
 // assignment (package feed), redundant routing graphs (package rgraph),
 // channel density (package density) and the delay-constraint graph
 // (package dgraph). Unlike the concurrent engine it never deletes edges
-// from a shared redundant graph, and unlike the sequential baseline it
-// revisits committed nets when the timing analysis says they sit on a
-// violated constraint's critical path.
+// from a shared redundant graph. Its build phase alone is the sequential
+// baseline (package seqroute runs it with SkipImprovement); the refinement
+// phase then revisits committed nets when the timing analysis says they
+// sit on a violated constraint's critical path.
 //
 // The edge weight of net n is
 //
@@ -44,7 +45,7 @@ import (
 )
 
 const (
-	// defaultAlpha matches the sequential baseline's congestion penalty.
+	// defaultAlpha is the congestion penalty when Config.Alpha is 0.
 	defaultAlpha = 0.35
 	// defaultPasses bounds the refinement loop when Config.MaxPasses is 0.
 	defaultPasses = 8
@@ -100,7 +101,7 @@ func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engin
 		if err != nil {
 			return nil, err
 		}
-		order = slackOrder(dg0)
+		order = dg0.SlackOrder()
 	}
 	fr, err := feed.Assign(ckt, order)
 	if err != nil {
@@ -379,9 +380,10 @@ func violations(tm *dgraph.Timing) int {
 	return v
 }
 
-// demandTarget derives a per-channel density target from total demand,
-// the same estimate the sequential baseline uses: half-perimeter column
-// demand spread over channels × columns, floored at one track.
+// demandTarget derives the per-channel density target used when
+// Config.TargetTracks is 0: half-perimeter column demand spread over
+// channels × columns, floored at one track. It runs after feedthrough
+// assignment, so it sees the (possibly widened) chip.
 func demandTarget(ckt *circuit.Circuit) int {
 	var demandCols int
 	for n := range ckt.Nets {
@@ -405,16 +407,6 @@ func demandTarget(ckt *circuit.Circuit) int {
 		per = 1
 	}
 	return per
-}
-
-func slackOrder(dg *dgraph.Graph) []int {
-	slacks := dg.NetSlacks()
-	order := make([]int, len(slacks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return slacks[order[a]] < slacks[order[b]] })
-	return order
 }
 
 // steinerEngine adapts the package to the engine registry.
