@@ -42,7 +42,7 @@ func allocsPerRun(f func()) float64 {
 // sweep (every score served from the per-net cache) must not allocate.
 func TestSelectEdgeAllocFree(t *testing.T) {
 	ckt := loadDataset(t, "C1P1")
-	p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: 1})
+	p, err := core.NewProbe(ckt, core.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,6 @@ func TestTimingFlushAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := dg.NewTiming()
-	tm.Workers = 1
 	wl := make([]float64, len(ckt.Nets))
 	for i := range wl {
 		wl[i] = 300

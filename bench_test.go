@@ -280,9 +280,9 @@ func BenchmarkSTA(b *testing.B) {
 }
 
 // BenchmarkTimingFlush measures the incremental timing engine on C3P1: a
-// sparse net perturbation followed by a dirty-set Flush, sequential and
-// parallel, against the old per-constraint full-topo walk over the same
-// dirty set (ReferenceWorst is that walk, kept as the equivalence oracle).
+// sparse net perturbation followed by a dirty-set Flush, against the old
+// per-constraint full-topo walk over the same dirty set (ReferenceWorst is
+// that walk, kept as the equivalence oracle).
 func BenchmarkTimingFlush(b *testing.B) {
 	ckt := mustDataset(b, "C3P1")
 	dg, err := dgraph.New(ckt)
@@ -299,13 +299,12 @@ func BenchmarkTimingFlush(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		nets = append(nets, (i*131)%len(ckt.Nets))
 	}
-	run := func(b *testing.B, workers int) {
+	b.Run("flush", func(b *testing.B) {
 		tm := dg.NewTiming()
-		tm.Workers = workers
 		tm.SetLumped(wl)
 		tm.Flush()
-		// Warm one perturb+flush so lazily-sized scratch (and, for the
-		// parallel path, the shared worker pool) exists before measuring.
+		// Warm one perturb+flush so lazily-sized scratch exists before
+		// measuring.
 		for _, n := range nets {
 			tm.SetNetLumped(n, 300)
 		}
@@ -318,9 +317,7 @@ func BenchmarkTimingFlush(b *testing.B) {
 			}
 			tm.Flush()
 		}
-	}
-	b.Run("flush/seq", func(b *testing.B) { run(b, 1) })
-	b.Run("flush/par", func(b *testing.B) { run(b, 0) })
+	})
 	b.Run("fullwalk", func(b *testing.B) {
 		tm := dg.NewTiming()
 		tm.SetLumped(wl)
@@ -501,37 +498,32 @@ func BenchmarkIteratedECO(b *testing.B) {
 }
 
 // BenchmarkSelectEdge measures one full §3.4 candidate-selection sweep on
-// a probe router: cold (every net rescored, sequential vs parallel pool)
-// and warm (every score served from the incremental per-net cache).
+// a probe router: cold (every net rescored) and warm (every score served
+// from the incremental per-net cache).
 func BenchmarkSelectEdge(b *testing.B) {
 	for _, name := range []string{"C1P1", "C3P1"} {
 		ckt := mustDataset(b, name)
-		for _, pool := range []struct {
-			tag     string
-			workers int
-		}{{"seq", 1}, {"par", 0}} {
-			b.Run(name+"/cold/"+pool.tag, func(b *testing.B) {
-				p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: pool.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Warm one cold sweep: the per-net criteria caches are
-				// lazily sized on first touch, and measuring that one-time
-				// growth would misreport the steady state.
+		b.Run(name+"/cold", func(b *testing.B) {
+			p, err := core.NewProbe(ckt, core.Config{UseConstraints: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm one cold sweep: the per-net criteria caches are lazily
+			// sized on first touch, and measuring that one-time growth
+			// would misreport the steady state.
+			p.InvalidateAll()
+			p.SelectEdge(false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				p.InvalidateAll()
-				p.SelectEdge(false)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.InvalidateAll()
-					if _, _, ok := p.SelectEdge(false); !ok {
-						b.Fatal("no candidate")
-					}
+				if _, _, ok := p.SelectEdge(false); !ok {
+					b.Fatal("no candidate")
 				}
-			})
-		}
+			}
+		})
 		b.Run(name+"/warm", func(b *testing.B) {
-			p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: 1})
+			p, err := core.NewProbe(ckt, core.Config{UseConstraints: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -73,7 +73,6 @@ func main() {
 		dbOut   = flag.String("db", "", "write the routing database (JSON handoff) to this file")
 		congest = flag.Bool("congestion", false, "print the per-channel congestion table")
 		phases  = flag.Bool("phases", false, "print the per-phase wall-clock breakdown")
-		workers = flag.Int("workers", 0, "candidate-scoring workers (0 = one per CPU, 1 = sequential; result is identical)")
 		wireTo  = flag.String("wire", "", "route remotely: submit to a bgr-serve wire listener at this address")
 		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, steiner")
 	)
@@ -83,11 +82,7 @@ func main() {
 		if *fig != 0 || *trace || *doCheck || *congest || *phases {
 			fatal(fmt.Errorf("-fig/-trace/-verify/-congestion/-phases are local-only; not available with -wire"))
 		}
-		jc := service.JobConfig{
-			UseConstraints: !*uncon,
-			Workers:        *workers,
-			GreedyChannels: *greedy,
-		}
+		jc := service.JobConfig{UseConstraints: !*uncon, GreedyChannels: *greedy}
 		if *elmore {
 			jc.DelayModel = "elmore"
 			jc.RPerUm = *rPerUm
@@ -104,7 +99,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := engine.Config{UseConstraints: !*uncon, Workers: *workers}
+	cfg := engine.Config{UseConstraints: !*uncon}
 	if *elmore {
 		cfg.DelayModel = engine.Elmore
 		cfg.RPerUm = *rPerUm

@@ -44,7 +44,6 @@ func main() {
 		cache       = flag.Int("cache", 32, "result cache entries (negative disables)")
 		jobTimeout  = flag.Duration("job-timeout", 5*time.Minute, "per-job routing deadline")
 		drain       = flag.Duration("drain", time.Minute, "shutdown grace period for queued jobs")
-		scoreWork   = flag.Int("score-workers", 0, "default per-job candidate-scoring workers (0 = one per CPU)")
 		jobTTL      = flag.Duration("job-ttl", 15*time.Minute, "how long finished jobs stay addressable (negative keeps forever)")
 		maxJobs     = flag.Int("max-jobs", 1024, "max retained terminal jobs, oldest evicted first (negative unlimited)")
 		maxBody     = flag.Int64("max-body", 8<<20, "POST /jobs body cap, bytes (413 on overflow; negative unlimited)")
@@ -68,7 +67,6 @@ func main() {
 		QueueDepth:      *queue,
 		CacheSize:       *cache,
 		JobTimeout:      *jobTimeout,
-		ScoreWorkers:    *scoreWork,
 		TerminalTTL:     *jobTTL,
 		MaxTerminalJobs: *maxJobs,
 		MaxBodyBytes:    *maxBody,

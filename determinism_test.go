@@ -1,14 +1,14 @@
-// Determinism tests for the parallel candidate-scoring engine: the routed
-// result must be byte-identical for every worker count, on every data set,
-// in both routing modes. The engine's only nondeterminism risk is the
-// cross-net argmin, which is computed sequentially from cached per-net
-// keys precisely so that worker scheduling cannot leak into the result.
+// Determinism tests for the concurrent engine: the routed result must be
+// byte-identical run to run, on every data set, in both routing modes,
+// also while other routes run at the same time (as the service's job
+// workers route) and on the ECO path.
 package repro_test
 
 import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/chanroute"
@@ -18,7 +18,7 @@ import (
 	"repro/internal/routedb"
 )
 
-// routedbJSON routes with the given worker count and renders the complete
+// routedbJSON routes with the given config and renders the complete
 // routing database, the strictest byte-level fingerprint of a run.
 func routedbJSON(t *testing.T, ckt *circuit.Circuit, cfg core.Config) []byte {
 	t.Helper()
@@ -97,16 +97,12 @@ func TestReOptimizeDeterministic(t *testing.T) {
 }
 
 // TestParallelScoringDeterministic routes every data set in both modes
-// with the sequential scorer (Workers=1) and with parallel worker pools,
-// and requires byte-identical routedb JSON. The pools always include 8,
-// so the many-worker case is covered even on a machine with few CPUs.
+// alone, then from two goroutines at once, and requires both concurrent
+// routes to produce the alone route's routedb JSON. Concurrent routes
+// share the package-level tree pool, as the service's job workers do.
 func TestParallelScoringDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset sweep in -short mode")
-	}
-	pools := []int{2, 8}
-	if n := runtime.GOMAXPROCS(0); n != 2 && n != 8 {
-		pools = append(pools, n)
 	}
 	for _, name := range gen.DatasetNames() {
 		p, err := gen.Dataset(name)
@@ -119,12 +115,26 @@ func TestParallelScoringDeterministic(t *testing.T) {
 		}
 		for _, use := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/constraints=%v", name, use), func(t *testing.T) {
-				want := routedbJSON(t, ckt, core.Config{UseConstraints: use, Workers: 1})
-				for _, w := range pools {
-					got := routedbJSON(t, ckt, core.Config{UseConstraints: use, Workers: w})
-					if !bytes.Equal(got, want) {
-						t.Fatalf("workers=%d routed differently from workers=1 (%d vs %d bytes)",
-							w, len(got), len(want))
+				cfg := core.Config{UseConstraints: use}
+				want := routedbJSON(t, ckt, cfg)
+				var results [2]*core.Result
+				var errs [2]error
+				var wg sync.WaitGroup
+				for i := range results {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						results[i], errs[i] = core.Route(ckt, cfg)
+					}(i)
+				}
+				wg.Wait()
+				for i, res := range results {
+					if errs[i] != nil {
+						t.Fatalf("concurrent route %d: %v", i, errs[i])
+					}
+					if got := fingerprint(t, res); !bytes.Equal(got, want) {
+						t.Fatalf("concurrent route %d routed differently from the route made alone (%d vs %d bytes)",
+							i, len(got), len(want))
 					}
 				}
 			})

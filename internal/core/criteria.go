@@ -2,14 +2,10 @@ package core
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/rgraph"
-	"repro/internal/workpool"
 )
 
 // delayCrit caches the §3.2 delay criteria of one candidate edge: the
@@ -48,10 +44,10 @@ type candKey struct {
 }
 
 // keyFor evaluates a candidate's comparison key against the current state.
-func (r *router) keyFor(c candidate, sc *scratch) candKey {
+func (r *router) keyFor(c candidate) candKey {
 	var k candKey
 	if r.cfg.UseConstraints {
-		dc := r.delayCriteriaSc(int(c.net), int(c.edge), sc)
+		dc := r.delayCriteria(int(c.net), int(c.edge))
 		k.cd, k.gl, k.ld = dc.cd, dc.gl, dc.ld
 	}
 	ed := r.edgeOf(c)
@@ -167,20 +163,6 @@ type netBest struct {
 	valid     bool
 }
 
-// scratch is per-worker scoring scratch space: the constraint-dedup marks
-// that used to be a per-candidate map allocation, and the non-bridge
-// candidate buffer that used to be a per-net slice allocation. The router
-// owns one for all sequential work; parallel re-scoring gives each worker
-// its own.
-type scratch struct {
-	consMark []int // consMark[p] == consGen marks constraint p as counted
-	consGen  int
-}
-
-func (r *router) newScratch() *scratch {
-	return &scratch{consMark: make([]int, len(r.ckt.Cons))}
-}
-
 // dPrime returns d'(e): the tentative-tree length of the net if edge e
 // were deleted (§3.2). Edges outside the current tentative tree cannot
 // change any shortest path, so the current length is exact for them
@@ -226,10 +208,9 @@ func (r *router) affectedNets(n int) []int {
 	return r.rrNets[:1]
 }
 
-// delayCriteriaSc computes (with caching) the delay criteria of candidate
-// (n, e) against the current timing state, using the given scoring
-// scratch.
-func (r *router) delayCriteriaSc(n, e int, sc *scratch) delayCrit {
+// delayCriteria computes (with caching) the delay criteria of candidate
+// (n, e) against the current timing state.
+func (r *router) delayCriteria(n, e int) delayCrit {
 	if r.dcCache[n] == nil {
 		r.dcCache[n] = make([]delayCrit, len(r.graphs[n].Edges))
 	}
@@ -279,15 +260,14 @@ func (r *router) delayCriteriaSc(n, e int, sc *scratch) delayCrit {
 		nd++
 	}
 	// P(e): constraints whose Gd(P) contains arcs of any affected net,
-	// deduplicated with the scratch marks (a map allocation per candidate
-	// before).
-	sc.consGen++
+	// deduplicated with the router's generation-stamped marks.
+	r.consGen++
 	for _, a := range nets {
 		for _, p := range r.dg.ConsOfNet(a) {
-			if sc.consMark[p] == sc.consGen {
+			if r.consMark[p] == r.consGen {
 				continue
 			}
-			sc.consMark[p] = sc.consGen
+			r.consMark[p] = r.consGen
 			margin := r.tm.Cons[p].Margin
 			tau := r.ckt.Cons[p].Limit
 			var worst float64
@@ -337,54 +317,37 @@ func (r *router) drainDensityChanges(areaOrder bool) {
 // selectEdge returns the deletion candidate the §3.4 (or §3.5 area)
 // heuristics choose over the given nets (nil means all) — the same argmin
 // the full scan produced, computed incrementally: each net's ranked best
-// is cached and re-scored only when something it depends on changed, and
-// the re-scoring of independent nets fans out across Config.Workers. The
-// final cross-net argmin is sequential in net-index order, so the result
-// is deterministic and independent of the worker count. ok is false when
-// no non-bridge edge remains.
+// is cached and re-scored only when something it depends on changed. A
+// net's best is a pure function of the router state, and the cross-net
+// argmin runs in net-index order, so the result is deterministic. ok is
+// false when no non-bridge edge remains.
 //
 //bgr:hot
 func (r *router) selectEdge(restrict []int, areaOrder bool) (candidate, bool) {
 	start := time.Now() //bgr:allow clockuse -- profiling only: feeds selStats latency counters, never steers selection
-	// Materialize every channel's stats: parallel scorers then only read
-	// the density state.
-	r.dens.Flush()
-
 	nNets := len(r.graphs)
 	r.drainDensityChanges(areaOrder)
 
-	// Collect the nets whose cached ranking is stale, grouped into
-	// scoring units by differential-pair leader: a unit owns both halves
-	// of a pair (their criteria read each other's state), so units touch
-	// disjoint data and can score in parallel without locks. The two
-	// explicit loops (restricted and full) would be one closure-driven
-	// helper, but the closure forces every captured local to the heap —
-	// this is the hottest call site in the router.
-	stale := r.staleBuf[:0]
-	units := r.unitBuf[:0]
+	// Re-score each stale net as the walk reaches it; scoring stamps the
+	// cache against the current epochs and density versions, so the net's
+	// dirty bit comes down either way. The two explicit loops (restricted
+	// and full) would be one closure-driven helper, but the closure forces
+	// every captured local to the heap — this is the hottest call site in
+	// the router.
+	scored := 0
 	if restrict != nil {
 		for _, n := range restrict {
 			if r.dirtyBest[n>>6]&(1<<(uint(n)&63)) == 0 {
 				continue
 			}
-			if r.bestValid(n, areaOrder) {
-				r.clearBestDirty(n)
-				continue
+			if !r.bestValid(n, areaOrder) {
+				r.scoreNet(n, areaOrder)
+				scored++
 			}
-			stale = append(stale, int32(n))
-			l := n
-			if m := r.pairOf[n]; m != circuit.NoNet && m < n {
-				l = m
-			}
-			if len(units) == 0 || units[len(units)-1] != int32(l) {
-				// restrict lists pairs adjacently and the full scan is in
-				// index order, so equal leaders arrive consecutively.
-				units = append(units, int32(l))
-			}
+			r.clearBestDirty(n)
 		}
 	} else {
-		// Walk only the set bits, in ascending net order so pair leaders
-		// still arrive consecutively for the units dedup.
+		// Walk only the set bits.
 		for w, word := range r.dirtyBest {
 			for word != 0 {
 				n := w<<6 + bits.TrailingZeros64(word)
@@ -392,39 +355,17 @@ func (r *router) selectEdge(restrict []int, areaOrder bool) (candidate, bool) {
 				if n >= nNets {
 					break
 				}
-				if r.bestValid(n, areaOrder) {
-					r.clearBestDirty(n)
-					continue
+				if !r.bestValid(n, areaOrder) {
+					r.scoreNet(n, areaOrder)
+					scored++
 				}
-				stale = append(stale, int32(n))
-				l := n
-				if m := r.pairOf[n]; m != circuit.NoNet && m < n {
-					l = m
-				}
-				if len(units) == 0 || units[len(units)-1] != int32(l) {
-					units = append(units, int32(l))
-				}
+				r.clearBestDirty(n)
 			}
 		}
 	}
-	r.staleBuf = stale
-	r.unitBuf = units
 
-	if w := r.workers(); w > 1 && len(units) > 1 {
-		r.scoreParallel(units, areaOrder, w)
-	} else {
-		for _, l := range units {
-			r.scoreUnit(int(l), areaOrder, r.sc)
-		}
-	}
-	// Scoring stamped each stale net's cache against the current epochs
-	// and density versions, so their bits come down again.
-	for _, n := range stale {
-		r.clearBestDirty(int(n))
-	}
-
-	// Sequential cross-net argmin over the cached per-net bests — pure
-	// key comparisons, nothing recomputed.
+	// Cross-net argmin over the cached per-net bests — pure key
+	// comparisons, nothing recomputed.
 	best := candidate{net: -1}
 	var bestKey *candKey
 	if restrict != nil {
@@ -456,80 +397,15 @@ func (r *router) selectEdge(restrict []int, areaOrder bool) (candidate, bool) {
 		scanned = len(restrict)
 	}
 	r.selStat.calls++
-	r.selStat.scored += len(stale)
-	r.selStat.reused += scanned - len(stale)
+	r.selStat.scored += scored
+	r.selStat.reused += scanned - scored
 	r.selStat.dur += time.Since(start) //bgr:allow clockuse -- profiling only: feeds selStats latency counters, never steers selection
 	return best, best.net != -1
 }
 
-// workers resolves Config.Workers: 0 means every available CPU.
-func (r *router) workers() int {
-	if r.cfg.Workers > 0 {
-		return r.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// scoreBatch is the router's reusable workpool task for parallel
-// re-scoring: each of the w Run calls first claims a private scratch slot,
-// then claims unit indices from the shared counter until the batch is
-// drained. Exactly w Runs happen per submit, so slot stays in range.
-type scoreBatch struct {
-	r         *router
-	units     []int32
-	areaOrder bool
-	next      atomic.Int64
-	slot      atomic.Int64
-	wg        sync.WaitGroup
-}
-
-func (b *scoreBatch) Run() {
-	sc := b.r.scratches[int(b.slot.Add(1))-1]
-	for {
-		u := int(b.next.Add(1)) - 1
-		if u >= len(b.units) {
-			b.wg.Done()
-			return
-		}
-		b.r.scoreUnit(int(b.units[u]), b.areaOrder, sc)
-	}
-}
-
-// scoreParallel re-scores the stale units on the shared worker pool. Units
-// are data-disjoint (see selectEdge), each worker uses its own scratch,
-// and the shared router state (timing, density, lengths, trees) is
-// read-only during the fan-out, so the scoring is race-free by
-// construction — and byte-identical to the sequential path because each
-// unit's result does not depend on scheduling. The reusable batch object
-// means no goroutine, closure or WaitGroup is allocated per call.
-func (r *router) scoreParallel(units []int32, areaOrder bool, w int) {
-	if w > len(units) {
-		w = len(units)
-	}
-	for len(r.scratches) < w {
-		r.scratches = append(r.scratches, r.newScratch())
-	}
-	b := &r.scoreB
-	b.r, b.units, b.areaOrder = r, units, areaOrder
-	b.next.Store(0)
-	b.slot.Store(0)
-	b.wg.Add(w)
-	workpool.Submit(b, w)
-	b.wg.Wait()
-}
-
-// scoreUnit recomputes the cached ranking of a pair leader and, for a
-// differential pair, its mate.
-func (r *router) scoreUnit(leader int, areaOrder bool, sc *scratch) {
-	r.scoreNet(leader, areaOrder, sc)
-	if m := r.pairOf[leader]; m != circuit.NoNet && !r.bestValid(m, areaOrder) {
-		r.scoreNet(m, areaOrder, sc)
-	}
-}
-
 // scoreNet recomputes net n's ranked best candidate and stamps the cache
 // with the state it was computed under.
-func (r *router) scoreNet(n int, areaOrder bool, sc *scratch) {
+func (r *router) scoreNet(n int, areaOrder bool) {
 	b := &r.best[n]
 	b.edge = -1
 	b.areaOrder = areaOrder
@@ -549,7 +425,7 @@ func (r *router) scoreNet(n int, areaOrder bool, sc *scratch) {
 	nb := r.nbList[n]
 	for _, e := range nb {
 		c := candidate{net: int32(n), edge: e}
-		k := r.keyFor(c, sc)
+		k := r.keyFor(c)
 		if b.edge == -1 || r.keyLess(&k, &b.key, c, candidate{net: int32(n), edge: b.edge}, areaOrder) {
 			b.edge, b.key = e, k
 		}

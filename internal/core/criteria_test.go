@@ -71,7 +71,7 @@ func TestDelayCriteriaZeroForHarmlessEdges(t *testing.T) {
 			continue // only check nets on no constrained path
 		}
 		for _, e := range g.NonBridges() {
-			c := r.delayCriteriaSc(n, e, r.sc)
+			c := r.delayCriteria(n, e)
 			if c.cd != 0 || c.gl != 0 || c.ld != 0 {
 				t.Fatalf("net %s (unconstrained) edge %d has criteria %+v",
 					r.ckt.Nets[n].Name, e, c)
@@ -84,7 +84,7 @@ func TestDelayCriteriaNonNegative(t *testing.T) {
 	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
-			c := r.delayCriteriaSc(n, e, r.sc)
+			c := r.delayCriteria(n, e)
 			if c.cd < 0 || c.gl < -1e-12 || c.ld < 0 {
 				t.Fatalf("negative criteria %+v for net %d edge %d", c, n, e)
 			}
@@ -96,8 +96,8 @@ func TestDelayCriteriaCacheConsistent(t *testing.T) {
 	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
 	n := 1
 	e := r.graphs[n].NonBridges()[0]
-	a := r.delayCriteriaSc(n, e, r.sc)
-	b := r.delayCriteriaSc(n, e, r.sc) // cached
+	a := r.delayCriteria(n, e)
+	b := r.delayCriteria(n, e) // cached
 	if a != b {
 		t.Fatalf("cache changed the answer: %+v vs %+v", a, b)
 	}
@@ -107,7 +107,7 @@ func TestDelayCriteriaCacheConsistent(t *testing.T) {
 	if err := r.deleteEdge(n, nb[len(nb)-1]); err != nil {
 		t.Fatal(err)
 	}
-	c := r.delayCriteriaSc(n, e, r.sc)
+	c := r.delayCriteria(n, e)
 	if c.tim != r.timEpoch[n] {
 		t.Fatal("cache not refreshed after epoch bump")
 	}
@@ -121,10 +121,10 @@ func TestSelectEdgePrefersHarmless(t *testing.T) {
 	if !ok {
 		t.Fatal("no candidates")
 	}
-	bc := r.delayCriteriaSc(int(best.net), int(best.edge), r.sc)
+	bc := r.delayCriteria(int(best.net), int(best.edge))
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
-			c := r.delayCriteriaSc(n, e, r.sc)
+			c := r.delayCriteria(n, e)
 			if c.cd < bc.cd {
 				t.Fatalf("selected Cd=%d but edge (%d,%d) has Cd=%d", bc.cd, n, e, c.cd)
 			}
@@ -143,7 +143,7 @@ func TestLessIsStrictWeakOrder(t *testing.T) {
 		for _, e := range g.NonBridges() {
 			c := candidate{int32(n), int32(e)}
 			cands = append(cands, c)
-			keys = append(keys, r.keyFor(c, r.sc))
+			keys = append(keys, r.keyFor(c))
 		}
 	}
 	for i, a := range cands {
@@ -183,7 +183,7 @@ func TestDensCompareTrunkFirst(t *testing.T) {
 	if trunk.net == -1 || other.net == -1 {
 		t.Skip("fixture lacks mixed candidates")
 	}
-	kt, ko := r.keyFor(trunk, r.sc), r.keyFor(other, r.sc)
+	kt, ko := r.keyFor(trunk), r.keyFor(other)
 	if keyDensCompare(&kt, &ko) >= 0 {
 		t.Fatal("trunk edge must win condition 1")
 	}

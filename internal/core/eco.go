@@ -28,21 +28,13 @@ func ReOptimize(prev *Result, cfg Config) (*Result, error) {
 	if r.dg, err = dgraph.New(r.ckt); err != nil {
 		return nil, err
 	}
-	r.initNetState(nNets)
 	r.feeds = make([][]rgraph.FeedPos, nNets)
+	graphs := make([]*rgraph.Graph, nNets)
 	for n := 0; n < nNets; n++ {
 		r.feeds[n] = append([]rgraph.FeedPos(nil), prev.Feeds[n]...)
-		r.graphs[n] = prev.Graphs[n].Clone()
-		r.pairOf[n] = r.ckt.Nets[n].DiffMate
-		r.ownSlots(n, r.feeds[n], true)
+		graphs[n] = prev.Graphs[n].Clone()
 	}
-	for n, g := range r.graphs {
-		r.densAddGraph(n, g)
-	}
-	r.buildIndexes()
-	r.tm = r.dg.NewTiming()
-	r.tm.Workers = cfg.Workers
-	if err := r.refreshTrees(allNets(nNets)); err != nil {
+	if err := r.initState(graphs); err != nil {
 		return nil, err
 	}
 

@@ -28,10 +28,6 @@ type concurrentEngine struct{}
 
 func (concurrentEngine) Name() string { return engine.DefaultName }
 
-func (concurrentEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Progress: true, ECO: true, Phases: true, Workers: true}
-}
-
 func (concurrentEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
 	res, err := RouteCtx(ctx, ckt, cfg)
 	if err != nil {

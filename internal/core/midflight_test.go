@@ -97,7 +97,7 @@ func TestLongerEdgeTieBreak(t *testing.T) {
 		for _, e := range g.NonBridges() {
 			c := candidate{int32(n), int32(e)}
 			cands = append(cands, c)
-			keys = append(keys, r.keyFor(c, r.sc))
+			keys = append(keys, r.keyFor(c))
 		}
 	}
 	for i := 0; i < len(cands); i++ {

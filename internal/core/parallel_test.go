@@ -8,32 +8,33 @@ import (
 )
 
 // TestWorkersConfigIdenticalResult checks, on the in-package sample
-// circuits, that every Workers setting routes identically (the dataset
-// sweep lives in the repo-root determinism test).
+// circuits, that routing fresh copies of a circuit again and again
+// reproduces the first route exactly (the dataset sweep lives in the
+// repo-root determinism test).
 func TestWorkersConfigIdenticalResult(t *testing.T) {
 	for _, mk := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiff} {
 		ckt := mk()
-		base, err := Route(ckt, Config{UseConstraints: true, Workers: 1})
+		base, err := Route(ckt, Config{UseConstraints: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{0, 2, 7} {
-			res, err := Route(mk(), Config{UseConstraints: true, Workers: w})
+		for run := 1; run <= 3; run++ {
+			res, err := Route(mk(), Config{UseConstraints: true})
 			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
+				t.Fatalf("run %d: %v", run, err)
 			}
 			if res.Delay != base.Delay || res.TotalWirelenUm != base.TotalWirelenUm {
-				t.Fatalf("workers=%d diverged: delay %v vs %v, wirelen %v vs %v",
-					w, res.Delay, base.Delay, res.TotalWirelenUm, base.TotalWirelenUm)
+				t.Fatalf("run %d diverged: delay %v vs %v, wirelen %v vs %v",
+					run, res.Delay, base.Delay, res.TotalWirelenUm, base.TotalWirelenUm)
 			}
 			for n := range base.Graphs {
 				a, b := base.Graphs[n].AliveEdges(), res.Graphs[n].AliveEdges()
 				if len(a) != len(b) {
-					t.Fatalf("workers=%d net %d: %d alive edges vs %d", w, n, len(b), len(a))
+					t.Fatalf("run %d net %d: %d alive edges vs %d", run, n, len(b), len(a))
 				}
 				for i := range a {
 					if a[i] != b[i] {
-						t.Fatalf("workers=%d net %d: edge sets differ", w, n)
+						t.Fatalf("run %d net %d: edge sets differ", run, n)
 					}
 				}
 			}
@@ -41,9 +42,9 @@ func TestWorkersConfigIdenticalResult(t *testing.T) {
 	}
 }
 
-// TestConcurrentScoringStress exercises the parallel scorer under load:
-// several full routings run concurrently, each with an oversized worker
-// pool, so the race detector sees the per-net sharding from many angles.
+// TestConcurrentScoringStress runs several full routings concurrently, as
+// the service's job workers do, so the race detector sees routers sharing
+// the package-level tree pool from many angles.
 func TestConcurrentScoringStress(t *testing.T) {
 	const runs = 6
 	var wg sync.WaitGroup
@@ -56,7 +57,7 @@ func TestConcurrentScoringStress(t *testing.T) {
 			if i%2 == 1 {
 				ckt = circuit.SampleDiff()
 			}
-			if _, err := Route(ckt, Config{UseConstraints: true, Workers: 8}); err != nil {
+			if _, err := Route(ckt, Config{UseConstraints: true}); err != nil {
 				errs <- err
 			}
 		}(i)

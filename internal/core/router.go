@@ -64,16 +64,13 @@ type router struct {
 	// only the dirty few instead of version-checking every net.
 	dirtyBest   []uint64
 	chanNetBits [][]uint64
-	lastAreaOrd bool       // ordering of the previous selectEdge; a flip invalidates all
-	sc          *scratch   // sequential scoring scratch
-	scratches   []*scratch // per-worker scratches for parallel scoring
-	//bgr:owned -- reusable selectEdge buffer
-	staleBuf []int32
-	//bgr:owned -- reusable selectEdge buffer
-	unitBuf []int32
-	scoreB  scoreBatch // reusable parallel-scoring batch (workpool task)
-	selStat selStats
-	timStat timStats
+	lastAreaOrd bool // ordering of the previous selectEdge; a flip invalidates all
+	// consMark[p] == consGen marks constraint p as already counted by the
+	// current delayCriteria call.
+	consMark []int
+	consGen  int
+	selStat  selStats
+	timStat  timStats
 
 	// trunkCnt[ch*nNets+n] counts net n's alive trunk edges in channel ch
 	// (flat row-major); the area phase uses it to visit only nets present
@@ -337,44 +334,6 @@ func (r *router) liveViolations() int {
 	return v
 }
 
-// initNetState allocates the per-net router state shared by Route's setup
-// and ReOptimize: caches, the selection engine, density and slot tracking.
-func (r *router) initNetState(nNets int) {
-	r.graphs = make([]*rgraph.Graph, nNets)
-	r.trees = make([]*rgraph.Tree, nNets)
-	r.wl = make([]float64, nNets)
-	r.pairOf = make([]int, nNets)
-	r.timEpoch = make([]int32, nNets)
-	r.dcCache = make([][]delayCrit, nNets)
-	r.geoEpoch = make([]int32, nNets)
-	for n := range r.geoEpoch {
-		r.geoEpoch[n] = 1 // zero-valued dpCache entries must read as stale
-	}
-	r.dpCache = make([][]dpEntry, nNets)
-	r.nbList = make([][]int32, nNets)
-	r.nbEpoch = make([]int32, nNets) // 0 != initial geoEpoch 1: starts stale
-	r.best = make([]netBest, nNets)
-	r.dens = densityFor(r.ckt)
-	r.slotCols = r.ckt.Cols
-	r.slotOwner = make([]int32, r.ckt.Rows*r.ckt.Cols)
-	for i := range r.slotOwner {
-		r.slotOwner[i] = -1
-	}
-	r.sc = r.newScratch()
-	r.nNets = nNets
-	r.trunkCnt = make([]int32, r.dens.Channels()*nNets)
-	r.chanMark = make([]int32, r.dens.Channels())
-	words := (nNets + 63) / 64
-	r.dirtyBest = make([]uint64, words)
-	for w := range r.dirtyBest {
-		r.dirtyBest[w] = ^uint64(0) // everything starts stale
-	}
-	r.chanNetBits = make([][]uint64, r.dens.Channels())
-	for ch := range r.chanNetBits {
-		r.chanNetBits[ch] = make([]uint64, words)
-	}
-}
-
 // markBestDirty flags net n's cached best for revalidation.
 func (r *router) markBestDirty(n int) {
 	r.dirtyBest[n>>6] |= 1 << (uint(n) & 63)
@@ -445,43 +404,80 @@ func (r *router) recomputeNetChans(n int) {
 	r.markBestDirty(n)
 }
 
+// setup builds the routing graphs Gr(n) over the assigned feedthroughs
+// and then the routing state on top of them (initState).
 func (r *router) setup() error {
-	nNets := len(r.ckt.Nets)
-	r.initNetState(nNets)
-	for n := 0; n < nNets; n++ {
-		r.ownSlots(n, r.feeds[n], true)
-	}
-
-	for n := 0; n < nNets; n++ {
+	graphs := make([]*rgraph.Graph, len(r.ckt.Nets))
+	for n := range graphs {
 		g, err := rgraph.Build(r.ckt, r.geo, n, r.feeds[n])
 		if err != nil {
 			return err
 		}
-		r.graphs[n] = g
-		r.pairOf[n] = r.ckt.Nets[n].DiffMate
+		graphs[n] = g
 	}
 	// Differential pairs must have isomorphic graphs for lock-step
 	// deletion (§4.1): identical edge lists up to the constant shift.
-	for n := 0; n < nNets; n++ {
-		m := r.pairOf[n]
+	for n, g := range graphs {
+		m := r.ckt.Nets[n].DiffMate
 		if m == circuit.NoNet || m < n {
 			continue
 		}
-		if err := sameShape(r.graphs[n], r.graphs[m]); err != nil {
+		if err := sameShape(g, graphs[m]); err != nil {
 			return fmt.Errorf("core: differential pair %s/%s: %w",
 				r.ckt.Nets[n].Name, r.ckt.Nets[m].Name, err)
 		}
 	}
-	for n, g := range r.graphs {
+	return r.initState(graphs)
+}
+
+// initState builds the pre-phase routing state over finished routing
+// graphs and their feedthroughs (r.feeds): the per-net caches and the
+// selection engine, slot ownership, density, the selection indexes, and
+// the trees, lengths and timing analysis. Route's setup and ReOptimize
+// both end here.
+func (r *router) initState(graphs []*rgraph.Graph) error {
+	nNets := len(graphs)
+	r.graphs = graphs
+	r.trees = make([]*rgraph.Tree, nNets)
+	r.wl = make([]float64, nNets)
+	r.pairOf = make([]int, nNets)
+	r.timEpoch = make([]int32, nNets)
+	r.dcCache = make([][]delayCrit, nNets)
+	r.geoEpoch = make([]int32, nNets)
+	for n := range r.geoEpoch {
+		r.geoEpoch[n] = 1 // zero-valued dpCache entries must read as stale
+	}
+	r.dpCache = make([][]dpEntry, nNets)
+	r.nbList = make([][]int32, nNets)
+	r.nbEpoch = make([]int32, nNets) // 0 != initial geoEpoch 1: starts stale
+	r.best = make([]netBest, nNets)
+	r.dens = densityFor(r.ckt)
+	r.slotCols = r.ckt.Cols
+	r.slotOwner = make([]int32, r.ckt.Rows*r.ckt.Cols)
+	for i := range r.slotOwner {
+		r.slotOwner[i] = -1
+	}
+	r.consMark = make([]int, len(r.ckt.Cons))
+	r.nNets = nNets
+	r.trunkCnt = make([]int32, r.dens.Channels()*nNets)
+	r.chanMark = make([]int32, r.dens.Channels())
+	words := (nNets + 63) / 64
+	r.dirtyBest = make([]uint64, words)
+	for w := range r.dirtyBest {
+		r.dirtyBest[w] = ^uint64(0) // everything starts stale
+	}
+	r.chanNetBits = make([][]uint64, r.dens.Channels())
+	for ch := range r.chanNetBits {
+		r.chanNetBits[ch] = make([]uint64, words)
+	}
+	for n, g := range graphs {
+		r.pairOf[n] = r.ckt.Nets[n].DiffMate
+		r.ownSlots(n, r.feeds[n], true)
 		r.densAddGraph(n, g)
 	}
 	r.buildIndexes()
 	r.tm = r.dg.NewTiming()
-	r.tm.Workers = r.cfg.Workers
-	if err := r.refreshTrees(allNets(nNets)); err != nil {
-		return err
-	}
-	return nil
+	return r.refreshTrees(allNets(nNets))
 }
 
 // densityFor allocates an empty density state sized to a circuit.
@@ -609,7 +605,7 @@ func (r *router) refreshTrees(nets []int) error {
 
 // touchNet advances the timing epoch of a net and its differential mate,
 // invalidating their cached delay criteria and ranked bests. The mate is
-// included because delayCriteriaSc(n, e) reads both halves of a pair.
+// included because delayCriteria(n, e) reads both halves of a pair.
 func (r *router) touchNet(n int) {
 	r.timEpoch[n]++
 	r.markBestDirty(n)

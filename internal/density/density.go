@@ -183,21 +183,8 @@ func (s *State) TakeChanged() []int32 {
 // cached per-channel criteria stamped with it stay exact.
 func (s *State) Version(ch int) uint64 { return s.version[ch] }
 
-// Flush materializes every dirty channel's stats. After Flush, concurrent
-// readers may call Channel and Edge freely: nothing mutates until the next
-// Add/Remove. The router calls it before fanning scoring out to workers.
-//
-//bgr:hot
-func (s *State) Flush() {
-	for c := 0; c < s.channels; c++ {
-		if s.dirty[c] {
-			s.stats[c] = computeStats(s.rowM(c), s.rowm(c))
-			s.dirty[c] = false
-		}
-	}
-}
-
-// Channel returns the current §3.3 parameters of a channel.
+// Channel returns the current §3.3 parameters of a channel, recomputing
+// them first if the profile changed since they were last read.
 func (s *State) Channel(ch int) ChannelStats {
 	if s.dirty[ch] {
 		s.stats[ch] = computeStats(s.rowM(ch), s.rowm(ch))

@@ -408,16 +408,11 @@ func (g *Graph) LumpedArcDelay(net int, wirelenUm float64) float64 {
 // Timing holds arc delays plus per-constraint longest-path results. Create
 // one with NewTiming, set delays, then Flush (or Analyze). The delay
 // setters record which constraints are affected in a dirty set; Flush
-// re-analyzes exactly those, fanning large batches out over Workers with
-// byte-identical results for every worker count.
+// re-analyzes exactly those.
 type Timing struct {
 	G        *Graph
 	ArcDelay []float64
 	Cons     []ConsTiming
-
-	// Workers bounds the Flush fan-out over dirty constraints, following
-	// the engine.Config.Workers convention: 0 = one per CPU, 1 = sequential.
-	Workers int
 
 	// Dirty-set bookkeeping. Owned by MarkNet/MarkAll/Flush — the bgr-vet
 	// epochs analyzer rejects writes anywhere else, so the affected-
@@ -434,10 +429,6 @@ type Timing struct {
 
 	// refF is the graph-sized scratch of ReferenceWorst.
 	refF []float64
-
-	// fb is the reusable parallel-flush batch (see subgraph.go); keeping
-	// it on the Timing means the fan-out path allocates nothing.
-	fb flushBatch
 }
 
 // ConsTiming is the analysis of one constraint P.

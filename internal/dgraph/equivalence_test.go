@@ -8,7 +8,7 @@ package dgraph_test
 import (
 	"math"
 	"math/rand"
-	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dgraph"
@@ -155,9 +155,9 @@ func TestFlushEquivalence(t *testing.T) {
 	}
 }
 
-// TestFlushEquivalenceWorkers stresses the parallel Flush across worker
-// counts (run with -race in CI): every Workers value must produce
-// bit-identical margins.
+// TestFlushEquivalenceWorkers runs five identical perturb-and-flush
+// timelines from five goroutines at once, each on its own delay graph and
+// Timing (run with -race in CI): they must agree bit for bit.
 func TestFlushEquivalenceWorkers(t *testing.T) {
 	p, err := gen.Dataset("C2P1")
 	if err != nil {
@@ -167,36 +167,47 @@ func TestFlushEquivalenceWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0), 0}
-	var ref *dgraph.Timing
-	for _, w := range workers {
-		g, err := dgraph.New(ckt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm := g.NewTiming()
-		tm.Workers = w
-		tm.SetLumped(lumped(len(ckt.Nets), 1))
-		tm.Flush()
-		rng := rand.New(rand.NewSource(4242))
-		for round := 0; round < 20; round++ {
-			for i := 0; i < 3; i++ {
-				tm.SetNetLumped(rng.Intn(len(ckt.Nets)), 5+rng.Float64()*900)
+	tms := make([]*dgraph.Timing, 5)
+	errs := make([]error, len(tms))
+	var wg sync.WaitGroup
+	for i := range tms {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g, err := dgraph.New(ckt)
+			if err != nil {
+				errs[i] = err
+				return
 			}
+			tm := g.NewTiming()
+			tm.SetLumped(lumped(len(ckt.Nets), 1))
 			tm.Flush()
+			rng := rand.New(rand.NewSource(4242))
+			for round := 0; round < 20; round++ {
+				for j := 0; j < 3; j++ {
+					tm.SetNetLumped(rng.Intn(len(ckt.Nets)), 5+rng.Float64()*900)
+				}
+				tm.Flush()
+			}
+			tms[i] = tm
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("timeline %d: %v", i, err)
 		}
-		if ref == nil {
-			ref = tm
-			continue
-		}
+	}
+	ref := tms[0]
+	for i, tm := range tms[1:] {
 		for p := range tm.Cons {
 			if math.Float64bits(tm.Cons[p].Margin) != math.Float64bits(ref.Cons[p].Margin) {
-				t.Fatalf("Workers=%d: cons %d margin %v != Workers=1 margin %v",
-					w, p, tm.Cons[p].Margin, ref.Cons[p].Margin)
+				t.Fatalf("timeline %d: cons %d margin %v != timeline 0 margin %v",
+					i+1, p, tm.Cons[p].Margin, ref.Cons[p].Margin)
 			}
 			if math.Float64bits(tm.Cons[p].Worst) != math.Float64bits(ref.Cons[p].Worst) {
-				t.Fatalf("Workers=%d: cons %d worst %v != Workers=1 worst %v",
-					w, p, tm.Cons[p].Worst, ref.Cons[p].Worst)
+				t.Fatalf("timeline %d: cons %d worst %v != timeline 0 worst %v",
+					i+1, p, tm.Cons[p].Worst, ref.Cons[p].Worst)
 			}
 		}
 	}

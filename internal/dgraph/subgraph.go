@@ -12,19 +12,10 @@
 //
 // On top of the compact layout sits a dirty set: delay setters (or an
 // explicit MarkNet) record which constraints are affected, and Flush
-// re-analyzes exactly those — in parallel across Workers when the batch is
-// large enough. Constraints write disjoint ConsTiming slots, so the merge
-// is trivial and the results are byte-identical for every worker count.
+// re-analyzes exactly those, in ascending constraint order.
 package dgraph
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/workpool"
-)
+import "sort"
 
 // subArc is one arc of a compact constraint subgraph, with its endpoints
 // remapped to local (dense, topo-ordered) vertex indices.
@@ -198,8 +189,7 @@ func (g *Graph) buildSubgraph(p int, localOf, arcLocal []int32) {
 
 // analyzeOne recomputes constraint p's longest paths, worst delay and
 // margin from the current arc delays, touching only the constraint's
-// compact subgraph. Writes land solely in t.Cons[p], so distinct
-// constraints can be analyzed concurrently.
+// compact subgraph. Writes land solely in t.Cons[p].
 func (t *Timing) analyzeOne(p int) {
 	g := t.G
 	ct := &t.Cons[p]
@@ -277,39 +267,9 @@ func (t *Timing) MarkAll() {
 	t.dirtyCount = len(t.dirty)
 }
 
-// flushParallelMin is the dirty-batch size below which Flush stays
-// sequential: the goroutine fan-out costs more than a handful of compact
-// subgraph walks.
-const flushParallelMin = 8
-
-// flushBatch is the Timing's reusable workpool task: each of the w Run
-// calls claims dirty-constraint indices from the shared counter until the
-// batch is drained. Constraints write disjoint ConsTiming slots, so which
-// worker analyzes which constraint cannot affect the result.
-type flushBatch struct {
-	t    *Timing
-	ps   []int
-	next atomic.Int64
-	wg   sync.WaitGroup
-}
-
-func (b *flushBatch) Run() {
-	for {
-		i := int(b.next.Add(1)) - 1
-		if i >= len(b.ps) {
-			b.wg.Done()
-			return
-		}
-		b.t.analyzeOne(b.ps[i])
-	}
-}
-
 // Flush re-analyzes exactly the constraints marked dirty since the last
 // Flush and returns their indices in ascending order (the slice is reused
-// by the next Flush). Large batches fan out over Workers on the shared
-// workpool — no goroutine or closure is allocated per call; each
-// constraint writes only its own ConsTiming slot and the returned order is
-// fixed, so the outcome is byte-identical for every worker count.
+// by the next Flush).
 //
 //bgr:hot
 func (t *Timing) Flush() []int {
@@ -321,43 +281,13 @@ func (t *Timing) Flush() []int {
 		if t.dirty[p] {
 			t.dirty[p] = false
 			ps = append(ps, p)
+			t.analyzeOne(p)
 		}
 	}
 	t.dirtyCount = 0
 	t.flushBuf = ps
-	if w := t.flushWorkers(len(ps)); w > 1 {
-		b := &t.fb
-		//bgr:allow scratch-escape -- flushBatch is Timing-owned fan-out state: workers only read ps, and the batch is drained (wg.Wait) before Flush returns
-		b.t, b.ps = t, ps
-		b.next.Store(0)
-		b.wg.Add(w)
-		workpool.Submit(b, w)
-		b.wg.Wait()
-	} else {
-		for _, p := range ps {
-			t.analyzeOne(p)
-		}
-	}
 	//bgr:allow scratch-escape -- documented loan: Flush's result aliases flushBuf until the next Flush; every caller copies or finishes with it first
 	return ps
-}
-
-// flushWorkers resolves the Flush fan-out for a dirty batch of n
-// constraints: sequential below flushParallelMin, otherwise Workers with
-// the Config.Workers convention (0 = one per CPU, 1 = sequential), capped
-// at the batch size.
-func (t *Timing) flushWorkers(n int) int {
-	if n < flushParallelMin {
-		return 1
-	}
-	w := t.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // ReferenceWorst recomputes constraint p's critical-path delay the

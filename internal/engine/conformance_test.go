@@ -1,8 +1,8 @@
 // Cross-engine conformance suite: every registered engine must produce a
-// valid routing database, be byte-deterministic for every worker count,
-// and (when it claims the Progress capability) report monotone progress
-// ending in a Done event. New engines get this coverage by being blank-
-// imported below — the tests iterate engine.Names().
+// valid routing database, be byte-deterministic whatever the deprecated
+// Workers field says, and report monotone progress ending in a Done
+// event. New engines get this coverage by being blank-imported below —
+// the tests iterate engine.Names().
 package engine_test
 
 import (
@@ -84,9 +84,8 @@ func TestConformanceValidity(t *testing.T) {
 }
 
 // TestConformanceWorkerDeterminism requires byte-identical routing
-// databases for every worker count, on every engine. Engines without
-// internal parallelism must ignore Workers entirely; the concurrent
-// engine's candidate scoring must not leak scheduling into the result.
+// databases for every value of the deprecated Workers field, on every
+// engine: every engine routes on one goroutine and must ignore it.
 func TestConformanceWorkerDeterminism(t *testing.T) {
 	ckt := loadDataset(t, gen.DatasetNames()[0])
 	for _, eng := range engine.Names() {
@@ -107,58 +106,29 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkerCapabilityTruth pins the Capabilities.Workers contract:
-// engines claiming it must (per TestConformanceWorkerDeterminism) honor
-// the knob without changing bytes; engines not claiming it must clamp —
-// routing with workers=8 must byte-match workers=1, and the steiner
-// engine (which is congestion-sequential by construction) must surface
-// the clamp as a trace note rather than silently ignoring the request.
+// TestWorkerCapabilityTruth pins that the deprecated Config.Workers
+// field cannot leak into routing: on every engine, workers=8 must route
+// byte-identical to workers=1.
 func TestWorkerCapabilityTruth(t *testing.T) {
 	ckt := loadDataset(t, gen.DatasetNames()[0])
 	for _, eng := range engine.Names() {
-		e, ok := engine.Get(eng)
-		if !ok {
-			t.Fatalf("engine %q not registered", eng)
-		}
-		if e.Capabilities().Workers {
-			continue
-		}
 		t.Run(eng, func(t *testing.T) {
 			one := routeDB(t, eng, ckt, engine.Config{UseConstraints: true, Workers: 1})
 			eight := routeDB(t, eng, ckt, engine.Config{UseConstraints: true, Workers: 8})
 			if !bytes.Equal(one, eight) {
-				t.Fatalf("engine without Workers capability routed differently at workers=8 (%d vs %d bytes)",
+				t.Fatalf("workers=8 routed differently from workers=1 (%d vs %d bytes)",
 					len(eight), len(one))
 			}
 		})
 	}
-
-	t.Run("steiner-clamp-note", func(t *testing.T) {
-		var trace bytes.Buffer
-		cfg := engine.Config{UseConstraints: true, Workers: 8, Trace: &trace}
-		if _, err := engine.Route(context.Background(), "steiner", ckt, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(trace.Bytes(), []byte("workers=8 clamped to 1")) {
-			t.Fatalf("steiner trace missing the worker-clamp note:\n%s", trace.String())
-		}
-	})
 }
 
-// TestConformanceProgress checks the Progress contract on engines that
-// claim the capability: at least one snapshot arrives, cumulative
-// counters never decrease within a phase, and the final event has Done
-// set.
+// TestConformanceProgress checks the Progress contract on every engine:
+// at least one snapshot arrives, cumulative counters never decrease
+// within a phase, and the final event has Done set.
 func TestConformanceProgress(t *testing.T) {
 	ckt := loadDataset(t, gen.DatasetNames()[0])
 	for _, eng := range engine.Names() {
-		e, ok := engine.Get(eng)
-		if !ok {
-			t.Fatalf("engine %q not registered", eng)
-		}
-		if !e.Capabilities().Progress {
-			continue
-		}
 		t.Run(eng, func(t *testing.T) {
 			var got []engine.Progress
 			cfg := engine.Config{

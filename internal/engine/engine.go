@@ -7,7 +7,7 @@
 //
 //   - "concurrent" (internal/core): the paper's concurrent edge-deletion
 //     router, the default. Highest quality; supports ECO re-optimization
-//     and byte-identical results across worker counts.
+//     (core.ReOptimize).
 //   - "steiner" (internal/steiner): timing-constrained cost-distance
 //     Steiner trees per Held & Perner — per-net trees built under delay
 //     bounds instead of deleted from redundant graphs. The middle of the
@@ -16,10 +16,12 @@
 //     paper argues against — steiner's build phase without refinement.
 //     Fast drafts, no global margin tracking.
 //
-// Engines register themselves in init(); importing an engine package is
-// what makes it selectable. The registry is a slice, not a map, so
-// listing order is deterministic (registration order, which Go fixes by
-// import order).
+// Every engine routes one circuit on the calling goroutine, reports
+// Progress and fills Result.Phases; parallelism comes from routing
+// several circuits at once (the service's job workers). Engines register
+// themselves in init(); importing an engine package is what makes it
+// selectable. The registry is a slice, not a map, so listing order is
+// deterministic (registration order, which Go fixes by import order).
 package engine
 
 import (
@@ -34,36 +36,16 @@ import (
 // paper's concurrent edge-deletion router.
 const DefaultName = "concurrent"
 
-// Capabilities declares what a registered engine supports, so callers
-// (the service, conformance tests) can gate features without knowing
-// engine internals.
-type Capabilities struct {
-	// Progress: the engine delivers Config.Progress snapshots mid-route.
-	Progress bool
-	// ECO: the engine supports incremental re-optimization of a finished
-	// result (core.ReOptimize-style).
-	ECO bool
-	// Phases: the engine fills Result.Phases with per-phase statistics.
-	Phases bool
-	// Workers: the engine honors Config.Workers with intra-run
-	// parallelism. Engines without it clamp to one worker (results are
-	// byte-identical either way; this only tells callers whether extra
-	// cores buy wall-clock).
-	Workers bool
-}
-
 // Engine is one global-routing algorithm behind the shared substrate.
 // Implementations must be stateless values: Route may be called
 // concurrently from many service workers.
 type Engine interface {
 	// Name is the registry key ("concurrent", "sequential", "steiner").
 	Name() string
-	// Capabilities reports what this engine supports.
-	Capabilities() Capabilities
-	// Route routes a validated circuit under cfg. The run aborts between
-	// routing steps when ctx is cancelled. Results must be deterministic:
-	// byte-identical routedb output for identical (circuit, cfg) inputs,
-	// for every Workers value.
+	// Route routes a validated circuit under cfg on the calling
+	// goroutine. The run aborts between routing steps when ctx is
+	// cancelled. Results must be deterministic: byte-identical routedb
+	// output for identical (circuit, cfg) inputs.
 	Route(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, error)
 }
 

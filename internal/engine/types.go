@@ -90,10 +90,9 @@ type Config struct {
 	// the free slots nearest its terminal center.
 	NoFeedReroute bool
 
-	// Workers bounds intra-run parallelism (concurrent engine's
-	// candidate re-scoring pool; 0 = one per CPU, 1 = sequential). The
-	// routed result is byte-identical for every value on every engine —
-	// sequential and steiner ignore it entirely.
+	// Workers is ignored: every engine routes on the calling goroutine.
+	//
+	// Deprecated: ignored; kept so existing callers still compile.
 	Workers int
 
 	// Alpha scales the congestion penalty of the per-net engines
@@ -108,12 +107,12 @@ type Config struct {
 	// Trace, when non-nil, receives a phase-by-phase log.
 	Trace io.Writer
 
-	// Progress, when non-nil, receives Progress snapshots from engines
-	// with the Progress capability: one at each phase start, one per step
-	// (edge deletion, reroute attempt or routed net), and one with Done
-	// set when the phase finishes. It is called synchronously from the
-	// routing goroutine, so it must be fast and must not call back into
-	// the engine.
+	// Progress, when non-nil, receives Progress snapshots (every
+	// engine): one at each phase start, one per step (edge deletion,
+	// reroute attempt or routed net), and one with Done set when the
+	// phase finishes. It is called synchronously from the routing
+	// goroutine, so it must be fast and must not call back into the
+	// engine.
 	Progress func(Progress)
 }
 
@@ -191,7 +190,7 @@ type Result struct {
 	Dens *density.State
 	// AddedPitches is the §4.3 chip widening, columns.
 	AddedPitches int
-	// Phases traces the run (engines with the Phases capability).
+	// Phases traces the run, one entry per engine phase.
 	Phases []PhaseStat
 	// Duration is the total wall-clock time of the run, including
 	// feedthrough assignment and setup (not just the phase loop).

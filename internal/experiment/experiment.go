@@ -99,6 +99,13 @@ func FinalDelay(ckt *circuit.Circuit, netLenUm []float64) (worst float64, violat
 	tm := dg.NewTiming()
 	tm.SetLumped(netLenUm)
 	tm.Analyze()
+	worst, violations = WorstDelay(tm)
+	return worst, violations, nil
+}
+
+// WorstDelay reports an analyzed timing's worst constrained-path delay
+// and its number of violated constraints.
+func WorstDelay(tm *dgraph.Timing) (worst float64, violations int) {
 	for p := range tm.Cons {
 		if tm.Cons[p].Worst > worst {
 			worst = tm.Cons[p].Worst
@@ -107,7 +114,7 @@ func FinalDelay(ckt *circuit.Circuit, netLenUm []float64) (worst float64, violat
 			violations++
 		}
 	}
-	return worst, violations, nil
+	return worst, violations
 }
 
 // RunDataset evaluates one named data set (e.g. "C1P1") in both modes.

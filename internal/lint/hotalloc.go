@@ -18,8 +18,8 @@ import (
 // analyzerHotAlloc enforces the PR-7 zero-allocation contract with the
 // compiler's own escape analysis instead of heuristics. The pipeline:
 //
-//  1. collect the //bgr:hot entry points (selectEdge, the timing and
-//     density Flush methods, TentativeInto, BuildInto, ...);
+//  1. collect the //bgr:hot entry points (selectEdge, Timing.Flush,
+//     the density Add/Remove methods, TentativeInto, BuildInto, ...);
 //  2. build a whole-module static call graph from the type-checked
 //     ASTs — keyed by stable "pkg.(Recv).name" strings, because the
 //     same function is a different types.Object when seen through

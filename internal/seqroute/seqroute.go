@@ -37,10 +37,6 @@ type sequentialEngine struct{}
 
 func (sequentialEngine) Name() string { return "sequential" }
 
-func (sequentialEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Progress: true, Phases: true}
-}
-
 func (sequentialEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
 	return Route(ctx, ckt, cfg)
 }

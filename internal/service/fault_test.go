@@ -218,15 +218,14 @@ func TestStressMixedSubmissions(t *testing.T) {
 		total     = 10000
 		gophers   = 8
 	)
-	mk := func(workers, scoreWorkers int) *Server {
+	mk := func(workers int) *Server {
 		return New(Options{
 			Workers: workers, QueueDepth: 256, CacheSize: 8,
-			ScoreWorkers:    scoreWorkers,
 			MaxTerminalJobs: retainMax, TerminalTTL: time.Hour,
 			Logf: func(string, ...any) {},
 		})
 	}
-	svc := mk(4, 4)
+	svc := mk(4)
 	defer svc.Shutdown(context.Background())
 
 	// Pre-route each distinct circuit so the flood below is mostly
@@ -334,9 +333,9 @@ func TestStressMixedSubmissions(t *testing.T) {
 		t.Errorf("panics_recovered = 0, poison jobs did not exercise containment")
 	}
 
-	// Determinism across worker counts: a second server with different
-	// routing and scoring parallelism must produce the same bytes.
-	svc2 := mk(1, 1)
+	// Determinism across worker counts: a second server with a different
+	// number of concurrent jobs must produce the same bytes.
+	svc2 := mk(1)
 	defer svc2.Shutdown(context.Background())
 	for i := 0; i < distinct; i++ {
 		res, err := svc2.Submit(SubmitRequest{Circuit: variant(i)})

@@ -88,9 +88,9 @@ type Options struct {
 	// JobTimeout is the default per-job routing deadline (default 5m).
 	// A submission may shorten it but never extend it.
 	JobTimeout time.Duration
-	// ScoreWorkers is the default per-job candidate-scoring parallelism
-	// applied when a submission leaves config.workers at 0. It never
-	// changes routed results, so it is not part of the cache key.
+	// ScoreWorkers is ignored: each job routes on its worker's goroutine.
+	//
+	// Deprecated: ignored; kept so existing callers still compile.
 	ScoreWorkers int
 
 	// TerminalTTL is how long a finished/failed/cancelled job stays
@@ -214,17 +214,16 @@ type JobConfig struct {
 	Order           string  `json:"order,omitempty"` // "", "slack", "index", "hpwl", "fanout"
 	NoFeedReroute   bool    `json:"no_feed_reroute,omitempty"`
 	GreedyChannels  bool    `json:"greedy_channels,omitempty"`
-	// Workers is the candidate-scoring worker count inside one routing run
-	// (0 = one per CPU, 1 = sequential). The routed result is byte-identical
-	// for every value, so it is safe in the cache key.
+	// Workers and Shards are deprecated and ignored: the per-run scoring
+	// worker count and the selection shard count they used to set no
+	// longer exist. They are still decoded so that old clients'
+	// submissions are not rejected as unknown fields (a negative Workers
+	// is still a bad config), and Submit zeroes both before hashing, so a
+	// submission carrying them dedupes and caches with the same job sent
+	// without them. Journals store only the hash, so replay is
+	// unaffected.
 	Workers int `json:"workers,omitempty"`
-	// Shards is deprecated and ignored: the selection shard count it
-	// used to set no longer exists. It is still decoded so that old
-	// clients' submissions are not rejected as unknown fields, and Submit
-	// zeroes it before hashing, so a submission carrying it dedupes and
-	// caches with the same job sent without it. Journals store only the
-	// hash, so replay is unaffected.
-	Shards int `json:"shards,omitempty"`
+	Shards  int `json:"shards,omitempty"`
 	// Alpha and TargetTracks tune the per-net engines (sequential,
 	// steiner): congestion penalty scale (0 = engine default 0.35) and
 	// the per-channel density target (0 = derived from demand). The
@@ -268,7 +267,6 @@ func (jc JobConfig) toEngine() (engine.Config, error) {
 		SkipImprovement: jc.SkipImprovement,
 		MaxPasses:       jc.MaxPasses,
 		NoFeedReroute:   jc.NoFeedReroute,
-		Workers:         jc.Workers,
 		Alpha:           jc.Alpha,
 		TargetTracks:    jc.TargetTracks,
 	}
@@ -527,10 +525,10 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 	if req.Config != nil {
 		jc = *req.Config
 	}
-	jc.Shards = 0 // deprecated and ignored; see JobConfig.Shards
 	if err := jc.validate(); err != nil {
 		return SubmitResult{}, fmt.Errorf("bad config: %w", err)
 	}
+	jc.Workers, jc.Shards = 0, 0 // deprecated and ignored; see JobConfig.Workers
 	eng, ok := engine.Get(jc.Engine)
 	if !ok {
 		s.metrics.rejectedBadEngine.Add(1)
@@ -539,9 +537,6 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 	cfg, err := jc.toEngine()
 	if err != nil {
 		return SubmitResult{}, err
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = s.opts.ScoreWorkers
 	}
 	timeout := s.opts.JobTimeout
 	if t := time.Duration(req.TimeoutMs) * time.Millisecond; t > 0 && t < timeout {
@@ -857,11 +852,7 @@ func buildPayload(res *engine.Result, greedy bool) (*Payload, error) {
 	tm.SetLumped(cr.NetLenUm)
 	tm.Analyze()
 	timing := report.TimingReport(res.Ckt, tm, 3) + "\n" + report.SlackHistogram(res.Ckt, tm, 8)
-
-	delay, viol, err := experiment.FinalDelay(res.Ckt, cr.NetLenUm)
-	if err != nil {
-		return nil, err
-	}
+	delay, viol := experiment.WorstDelay(tm)
 	return &Payload{
 		RouteDB: dbJSON,
 		Timing:  timing,

@@ -126,9 +126,9 @@ func TestWireMatchesHTTP(t *testing.T) {
 }
 
 // TestDeprecatedShardsAccepted keeps old clients working: a config that
-// still carries the removed "shards" field is accepted over HTTP and over
-// the wire, and lands on the same cache slot (same hash, same bytes) as
-// the submission without it.
+// still carries the removed "shards" or "workers" fields is accepted over
+// HTTP and over the wire, and lands on the same cache slot (same hash,
+// same bytes) as the submission without them.
 func TestDeprecatedShardsAccepted(t *testing.T) {
 	ckt := readExample(t)
 	svc := New(Options{Workers: 1, Logf: silentLogf})
@@ -151,30 +151,30 @@ func TestDeprecatedShardsAccepted(t *testing.T) {
 	}
 	wantHash := hashOf(base.ID)
 
-	httpRep := postJob(t, ts.URL, map[string]any{
-		"circuit": ckt,
-		"config":  map[string]any{"use_constraints": true, "shards": 4},
-	})
-	if !httpRep.Cached || hashOf(httpRep.ID) != wantHash {
-		t.Fatalf("HTTP submit with shards missed the base cache slot: %+v", httpRep)
-	}
-	if got := getBody(t, ts.URL+"/jobs/"+httpRep.ID+"/routedb", 200); !bytes.Equal(got, wantDB) {
-		t.Fatal("HTTP submit with shards served different routedb bytes")
-	}
+	for _, extra := range []string{`"shards":4`, `"workers":4`, `"shards":2,"workers":4`} {
+		cfg := []byte(`{"use_constraints":true,` + extra + `}`)
+		httpRep := postJob(t, ts.URL, map[string]any{"circuit": ckt, "config": json.RawMessage(cfg)})
+		if !httpRep.Cached || hashOf(httpRep.ID) != wantHash {
+			t.Fatalf("HTTP submit with %s missed the base cache slot: %+v", extra, httpRep)
+		}
+		if got := getBody(t, ts.URL+"/jobs/"+httpRep.ID+"/routedb", 200); !bytes.Equal(got, wantDB) {
+			t.Fatalf("HTTP submit with %s served different routedb bytes", extra)
+		}
 
-	wireRep, err := c.Submit(ckt, []byte(`{"use_constraints":true,"shards":4}`), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wireRep.Cached || hashOf(wireRep.ID) != wantHash {
-		t.Fatalf("wire submit with shards missed the base cache slot: %+v", wireRep)
-	}
-	got, err := c.Result(wireRep.ID, wire.KindRouteDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantDB) {
-		t.Fatal("wire submit with shards served different routedb bytes")
+		wireRep, err := c.Submit(ckt, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wireRep.Cached || hashOf(wireRep.ID) != wantHash {
+			t.Fatalf("wire submit with %s missed the base cache slot: %+v", extra, wireRep)
+		}
+		got, err := c.Result(wireRep.ID, wire.KindRouteDB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantDB) {
+			t.Fatalf("wire submit with %s served different routedb bytes", extra)
+		}
 	}
 }
 

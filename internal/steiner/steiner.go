@@ -83,18 +83,6 @@ func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engin
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("steiner: %w", err)
 	}
-	// This engine is congestion-sequential by construction: build commits
-	// each net's tree into the density state before the next net's edge
-	// weights read it, so the per-net builds cannot fan out without
-	// changing results. Clamp rather than silently ignore the request —
-	// the capability (Workers: false) advertises the limitation, the
-	// trace note surfaces it per run.
-	if cfg.Workers > 1 {
-		if cfg.Trace != nil {
-			fmt.Fprintf(cfg.Trace, "steiner: workers=%d clamped to 1 (congestion-sequential engine; see Capabilities.Workers)\n", cfg.Workers)
-		}
-		cfg.Workers = 1
-	}
 	var order []int
 	if cfg.UseConstraints {
 		dg0, err := dgraph.New(ckt)
@@ -413,13 +401,6 @@ func demandTarget(ckt *circuit.Circuit) int {
 type steinerEngine struct{}
 
 func (steinerEngine) Name() string { return "steiner" }
-
-func (steinerEngine) Capabilities() engine.Capabilities {
-	// Workers is deliberately false: the builds are congestion-sequential
-	// (each net's weights read the previous nets' committed density), so
-	// Route clamps Config.Workers to 1 instead of honoring it.
-	return engine.Capabilities{Progress: true, Phases: true}
-}
 
 func (steinerEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
 	return Route(ctx, ckt, cfg)

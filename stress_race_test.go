@@ -35,31 +35,30 @@ func stressCircuit(t *testing.T) *circuit.Circuit {
 }
 
 // TestConcurrentWorkerCountsIdentical routes the same circuit from four
-// goroutines at once, one per worker-pool size, and requires every run to
-// produce byte-identical routedb JSON. Concurrent routers share the
-// package-level tree pool and the global workpool, so under -race this
-// doubles as the data-race detector for the pooled scratch memory. The
-// routes run concurrently; fingerprinting happens after the join so no
-// goroutine touches testing.T.
+// goroutines at once and requires every run to produce byte-identical
+// routedb JSON. Concurrent routers share the package-level tree pool, so
+// under -race this doubles as the data-race detector for the pooled
+// scratch memory. The routes run concurrently; fingerprinting happens
+// after the join so no goroutine touches testing.T.
 func TestConcurrentWorkerCountsIdentical(t *testing.T) {
 	ckt := stressCircuit(t)
-	workerCounts := []int{1, 2, 4, 8}
+	const routes = 4
 	for round := 0; round < 2; round++ {
-		results := make([]*core.Result, len(workerCounts))
-		errs := make([]error, len(workerCounts))
+		results := make([]*core.Result, routes)
+		errs := make([]error, routes)
 		var wg sync.WaitGroup
-		for i, w := range workerCounts {
+		for i := range results {
 			wg.Add(1)
-			go func(i, w int) {
+			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = core.Route(ckt, core.Config{UseConstraints: true, Workers: w})
-			}(i, w)
+				results[i], errs[i] = core.Route(ckt, core.Config{UseConstraints: true})
+			}(i)
 		}
 		wg.Wait()
 		var want []byte
-		for i, w := range workerCounts {
+		for i := range results {
 			if errs[i] != nil {
-				t.Fatalf("round %d: workers=%d: %v", round, w, errs[i])
+				t.Fatalf("round %d: route %d: %v", round, i, errs[i])
 			}
 			got := fingerprint(t, results[i])
 			if i == 0 {
@@ -67,8 +66,8 @@ func TestConcurrentWorkerCountsIdentical(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d: workers=%d routed differently from workers=%d (%d vs %d bytes)",
-					round, w, workerCounts[0], len(got), len(want))
+				t.Fatalf("round %d: route %d routed differently from route 0 (%d vs %d bytes)",
+					round, i, len(got), len(want))
 			}
 		}
 	}
@@ -145,7 +144,7 @@ func TestShardWorkerMatrixIdentical(t *testing.T) {
 // not mutated through any backing array the identity check missed.
 func TestConsecutiveRoutesShareNoBackingArrays(t *testing.T) {
 	ckt := stressCircuit(t)
-	cfg := core.Config{UseConstraints: true, Workers: 2}
+	cfg := core.Config{UseConstraints: true}
 
 	resA, err := core.Route(ckt, cfg)
 	if err != nil {
