@@ -11,22 +11,17 @@
 //	bgr-route -i design.ckt -fig 3 -net n0042
 //	bgr-route -i design.ckt -elmore -r 0.0005 -trace
 //	bgr-route -i design.ckt -engine steiner
-//	bgr-route -wire 127.0.0.1:8081 -i design.ckt -timing
 //
 // -engine selects the routing engine: "concurrent" (the paper's router,
 // default), "sequential" (net-at-a-time baseline) or "steiner"
-// (timing-constrained cost-distance Steiner trees). It works both
-// locally and with -wire.
+// (timing-constrained cost-distance Steiner trees).
 //
-// With -wire the circuit is not routed locally: it is submitted to a
-// running bgr-serve wire listener over the binary protocol, and the
-// result artifacts are fetched back over the same connection.
+// Routing is always local; to route on a running bgr-serve, POST the
+// circuit to its HTTP API (docs/SERVICE.md).
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,9 +37,7 @@ import (
 	"repro/internal/render"
 	"repro/internal/report"
 	"repro/internal/routedb"
-	"repro/internal/service"
 	"repro/internal/verify"
-	"repro/internal/wire"
 
 	// Register every routing engine for -engine (and so the summary can
 	// list them on a bad name).
@@ -73,27 +66,9 @@ func main() {
 		dbOut   = flag.String("db", "", "write the routing database (JSON handoff) to this file")
 		congest = flag.Bool("congestion", false, "print the per-channel congestion table")
 		phases  = flag.Bool("phases", false, "print the per-phase wall-clock breakdown")
-		wireTo  = flag.String("wire", "", "route remotely: submit to a bgr-serve wire listener at this address")
 		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, steiner")
 	)
 	flag.Parse()
-
-	if *wireTo != "" {
-		if *fig != 0 || *trace || *doCheck || *congest || *phases {
-			fatal(fmt.Errorf("-fig/-trace/-verify/-congestion/-phases are local-only; not available with -wire"))
-		}
-		jc := service.JobConfig{UseConstraints: !*uncon, GreedyChannels: *greedy}
-		if *elmore {
-			jc.DelayModel = "elmore"
-			jc.RPerUm = *rPerUm
-		}
-		if err := routeRemote(*wireTo, *in, *dataset, jc, *engName, remoteOut{
-			db: *dbOut, svg: *svgOut, timing: *timing, layout: *layout,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	ckt, err := load(*in, *dataset)
 	if err != nil {
@@ -255,140 +230,6 @@ func main() {
 				ps.TimingDuration.Round(time.Microsecond), ps.TimingCons)
 		}
 	}
-}
-
-// remoteOut selects which artifacts to fetch back after a -wire run.
-type remoteOut struct {
-	db     string // write routedb JSON here
-	svg    string // write the SVG drawing here
-	timing bool   // print the timing report
-	layout bool   // print the ASCII layout
-}
-
-// routeRemote submits the circuit to a bgr-serve wire listener, waits
-// for the job, fetches the requested artifacts over the same pipelined
-// connection, and prints the routed summary. A non-default engineName
-// rides the TSubmitV2 frame's engine field; the default stays on the v1
-// frame for old-server interop.
-func routeRemote(addr, in, dataset string, jc service.JobConfig, engineName string, out remoteOut) error {
-	cktText, err := circuitText(in, dataset)
-	if err != nil {
-		return err
-	}
-	cfgJSON, err := json.Marshal(jc)
-	if err != nil {
-		return err
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	rep, err := c.SubmitEngine(cktText, cfgJSON, engineName, 0)
-	if err != nil {
-		return fmt.Errorf("submit: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "bgr-route: job %s on %s (cached=%v dedup=%v)\n", rep.ID, addr, rep.Cached, rep.Dedup)
-	stJSON, err := c.Wait(rep.ID)
-	if err != nil {
-		return fmt.Errorf("wait: %w", err)
-	}
-	var st service.Status
-	if err := json.Unmarshal(stJSON, &st); err != nil {
-		return fmt.Errorf("decode status: %w", err)
-	}
-	if st.State != service.Done {
-		return fmt.Errorf("job %s: %s: %s", st.ID, st.State, st.Error)
-	}
-
-	if out.db != "" {
-		b, err := c.Result(rep.ID, wire.KindRouteDB)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out.db, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bgr-route: wrote %s\n", out.db)
-	}
-	if out.svg != "" {
-		b, err := c.Result(rep.ID, wire.KindSVG)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out.svg, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bgr-route: wrote %s\n", out.svg)
-	}
-	if out.layout {
-		b, err := c.Result(rep.ID, wire.KindLayout)
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(b)
-	}
-	if out.timing {
-		b, err := c.Result(rep.ID, wire.KindTiming)
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(b)
-		fmt.Println()
-	}
-
-	s := st.Summary
-	if s == nil {
-		return fmt.Errorf("job %s finished without a summary", st.ID)
-	}
-	fmt.Printf("circuit      %s (%d nets, %d constraints)\n", st.Circuit, s.Nets, s.Constraints)
-	fmt.Printf("mode         engine=%s constraints=%v model=%s\n", st.Engine, jc.UseConstraints, remoteModelName(jc))
-	fmt.Printf("delay        %.1f ps\n", s.DelayPs)
-	fmt.Printf("violations   %d\n", s.Violations)
-	fmt.Printf("area         %.3f mm²\n", s.AreaMm2)
-	fmt.Printf("wire length  %.2f mm\n", s.WirelenMm)
-	fmt.Printf("feed cells   +%d columns inserted\n", s.AddedPitches)
-	fmt.Printf("tracks       %d total\n", s.Tracks)
-	return nil
-}
-
-// circuitText returns the circuit source text to put on the wire: raw
-// file bytes for -i, or the generated preset rendered back to the text
-// format for -dataset.
-func circuitText(in, dataset string) (string, error) {
-	switch {
-	case in != "" && dataset != "":
-		return "", fmt.Errorf("use either -i or -dataset, not both")
-	case dataset != "":
-		p, err := gen.Dataset(dataset)
-		if err != nil {
-			return "", err
-		}
-		ckt, err := gen.Generate(p)
-		if err != nil {
-			return "", err
-		}
-		var buf bytes.Buffer
-		if err := circuit.Format(&buf, ckt); err != nil {
-			return "", err
-		}
-		return buf.String(), nil
-	case in != "":
-		b, err := os.ReadFile(in)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	return "", fmt.Errorf("need -i <file> or -dataset <name>")
-}
-
-func remoteModelName(jc service.JobConfig) string {
-	if jc.DelayModel == "elmore" {
-		return "elmore"
-	}
-	return "lumped"
 }
 
 func load(in, dataset string) (*circuit.Circuit, error) {

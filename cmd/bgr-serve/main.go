@@ -1,7 +1,6 @@
 // Command bgr-serve runs the global router as a long-lived HTTP service:
 // clients POST circuits, poll or stream job status, and fetch results as
-// routedb JSON, timing reports or SVG. With -listen-wire it also serves
-// the compact binary wire protocol on a second listener, and with
+// routedb JSON, timing reports or SVG. HTTP is its only transport. With
 // -journal it persists job transitions and results to an append-only
 // journal replayed at startup. See docs/SERVICE.md for the API.
 //
@@ -9,14 +8,13 @@
 //
 //	bgr-serve -addr 127.0.0.1:8080 -workers 4
 //	bgr-serve -queue 128 -cache 64 -job-timeout 2m
-//	bgr-serve -listen-wire 127.0.0.1:8081 -journal jobs.journal
+//	bgr-serve -journal jobs.journal
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -51,8 +49,6 @@ func main() {
 		maxNets     = flag.Int("max-nets", 50000, "per-circuit net cap (negative unlimited)")
 		maxCells    = flag.Int("max-cells", 200000, "per-circuit cell cap (negative unlimited)")
 		enablePprof = flag.Bool("pprof", true, "expose net/http/pprof under /debug/pprof/")
-		wireAddr    = flag.String("listen-wire", "", "also serve the binary wire protocol on this address (empty disables)")
-		maxFrame    = flag.Int("max-frame", 8<<20, "wire request frame cap, bytes (negative unlimited)")
 		journalPath = flag.String("journal", "", "append job journal to this file and replay it at startup (empty disables)")
 		journalSync = flag.String("journal-sync", "always", "journal fsync policy: always|none")
 	)
@@ -73,7 +69,6 @@ func main() {
 		MaxCircuitBytes: *maxCircuit,
 		MaxNets:         *maxNets,
 		MaxCells:        *maxCells,
-		MaxFrameBytes:   *maxFrame,
 		JournalPath:     *journalPath,
 		JournalSync:     syncPolicy,
 	})
@@ -114,19 +109,6 @@ func main() {
 	fmt.Printf("bgr-serve: engines: %s (default %s)\n",
 		strings.Join(engine.Names(), ", "), engine.DefaultName)
 
-	var wireLn net.Listener
-	if *wireAddr != "" {
-		wireLn, err = net.Listen("tcp", *wireAddr)
-		if err != nil {
-			fatal(err)
-		}
-		go func() {
-			if err := svc.ServeWire(wireLn); err != nil {
-				errc <- fmt.Errorf("wire listener: %w", err)
-			}
-		}()
-		fmt.Printf("bgr-serve: wire protocol on %s (max-frame=%d)\n", wireLn.Addr(), *maxFrame)
-	}
 	if *journalPath != "" {
 		fmt.Printf("bgr-serve: journaling jobs to %s (sync=%s)\n", *journalPath, *journalSync)
 	}
@@ -139,9 +121,6 @@ func main() {
 	fmt.Println("bgr-serve: shutting down, draining queue...")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if wireLn != nil {
-		wireLn.Close() // stop accepting wire connections before the drain
-	}
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "bgr-serve: http shutdown:", err)
 	}

@@ -1,13 +1,15 @@
 // Cross-engine conformance suite: every registered engine must produce a
 // valid routing database, be byte-deterministic whatever the deprecated
-// Workers field says, and report monotone progress ending in a Done
-// event. New engines get this coverage by being blank-imported below —
-// the tests iterate engine.Names().
+// Workers field says, report monotone progress ending in a Done event,
+// and stop with context.Canceled when its context is cancelled. New
+// engines get this coverage by being blank-imported below — the tests
+// iterate engine.Names().
 package engine_test
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -158,5 +160,51 @@ func TestConformanceProgress(t *testing.T) {
 				t.Fatalf("final snapshot not Done: %+v", got[len(got)-1])
 			}
 		})
+	}
+}
+
+// TestConformanceCancel checks the cancellation contract on every
+// engine: a route started on an already-cancelled context, and a route
+// cancelled from inside its third Progress event, both return a nil
+// Result and an error wrapping context.Canceled.
+func TestConformanceCancel(t *testing.T) {
+	ckt := loadDataset(t, gen.DatasetNames()[0])
+	for _, eng := range engine.Names() {
+		t.Run(eng, func(t *testing.T) {
+			t.Run("pre-cancelled", func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				res, err := engine.Route(ctx, eng, ckt, engine.Config{UseConstraints: true})
+				checkCancelled(t, res, err)
+			})
+			t.Run("third-progress", func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				events := 0
+				cfg := engine.Config{
+					UseConstraints: true,
+					Progress: func(engine.Progress) {
+						if events++; events == 3 {
+							cancel()
+						}
+					},
+				}
+				res, err := engine.Route(ctx, eng, ckt, cfg)
+				if events < 3 {
+					t.Fatalf("only %d progress events before the route returned", events)
+				}
+				checkCancelled(t, res, err)
+			})
+		})
+	}
+}
+
+func checkCancelled(t *testing.T, res *engine.Result, err error) {
+	t.Helper()
+	if res != nil {
+		t.Fatal("cancelled route returned a result")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want one wrapping context.Canceled", err)
 	}
 }

@@ -3,15 +3,12 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 
 	// The service itself only guarantees the default (concurrent) engine;
 	// these tests exercise selection across the full registry.
@@ -90,55 +87,6 @@ func TestEngineUnknownHTTP(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.RejectedBadEngine != 1 {
 		t.Fatalf("rejected_bad_engine = %d, want 1", m.RejectedBadEngine)
-	}
-}
-
-// TestEngineWireV2 covers the v2 submit frame: engine selection works
-// over the wire, an unknown engine maps to CodeBadRequest, and a frame
-// engine conflicting with the config engine is rejected.
-func TestEngineWireV2(t *testing.T) {
-	ckt := readExample(t)
-	svc := New(Options{Workers: 1, Logf: silentLogf})
-	defer svc.Shutdown(context.Background())
-	addr := startWire(t, svc)
-	c := dialWire(t, addr)
-
-	rep, err := c.SubmitEngine(ckt, nil, "steiner", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statusJSON, err := c.Wait(rep.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.Unmarshal(statusJSON, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != Done || st.Engine != "steiner" {
-		t.Fatalf("wire v2 job: state=%s engine=%q", st.State, st.Engine)
-	}
-
-	var re *wire.RemoteError
-	if _, err := c.SubmitEngine(ckt, nil, "bogus", 0); !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
-		t.Fatalf("unknown engine over wire: %v", err)
-	}
-	if !strings.Contains(re.Msg, "concurrent") {
-		t.Fatalf("wire rejection %q does not list registered engines", re.Msg)
-	}
-	if _, err := c.SubmitEngine(ckt, []byte(`{"engine":"sequential"}`), "steiner", 0); !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
-		t.Fatalf("conflicting engines: %v", err)
-	}
-
-	// The same config expressed in the JSON alone (v1-style) lands on the
-	// same cache slot as the frame field: this resubmission must be a
-	// cache hit.
-	rep2, err := c.Submit(ckt, []byte(`{"engine":"steiner","use_constraints":true}`), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Cached {
-		t.Fatalf("config-JSON engine missed the frame-field cache slot: %+v", rep2)
 	}
 }
 

@@ -71,15 +71,11 @@ type metrics struct {
 	evicted   atomic.Int64 // terminal jobs evicted by the retention policy
 	rejected  atomic.Int64 // submissions refused by a size cap (HTTP 413)
 	// rejectedBadEngine counts submissions naming an unregistered engine,
-	// refused at admission (HTTP 400 / wire CodeBadRequest).
+	// refused at admission (HTTP 400).
 	rejectedBadEngine atomic.Int64
 
 	netsScored atomic.Int64 // per-net candidate scores recomputed
 	netsReused atomic.Int64 // per-net scores served from the selection cache
-
-	wireConns    atomic.Int64 // open wire-protocol connections (gauge)
-	wireFrames   atomic.Int64 // request frames handled on the wire listener
-	wireOversize atomic.Int64 // frames rejected for exceeding the size cap
 
 	journalReplayed atomic.Int64 // journal records applied at startup replay
 
@@ -198,9 +194,6 @@ type MetricsSnapshot struct {
 	RejectedBadEngine int64                    `json:"rejected_bad_engine"`
 	NetsScored        int64                    `json:"nets_scored"`
 	NetsReused        int64                    `json:"nets_reused"`
-	WireConns         int64                    `json:"wire_conns"`
-	WireFrames        int64                    `json:"wire_frames"`
-	WireOversize      int64                    `json:"wire_rejected_oversize"`
 	JournalRecs       int64                    `json:"journal_records"`
 	JournalReplay     int64                    `json:"journal_replayed"`
 	JournalBytes      int64                    `json:"journal_bytes"`
@@ -236,9 +229,6 @@ func (m *metrics) snapshot(queueDepth, workers, cacheEntries, retained int, jour
 		RejectedBadEngine:  m.rejectedBadEngine.Load(),
 		NetsScored:         m.netsScored.Load(),
 		NetsReused:         m.netsReused.Load(),
-		WireConns:          m.wireConns.Load(),
-		WireFrames:         m.wireFrames.Load(),
-		WireOversize:       m.wireOversize.Load(),
 		JournalRecs:        journalRecs,
 		JournalReplay:      m.journalReplayed.Load(),
 		JournalBytes:       journalBytes,

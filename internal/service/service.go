@@ -43,7 +43,6 @@ import (
 	"repro/internal/render"
 	"repro/internal/report"
 	"repro/internal/routedb"
-	"repro/internal/wire"
 
 	// The default engine is part of the service's contract: a Server can
 	// always route with "concurrent" even if the embedding binary imports
@@ -124,17 +123,6 @@ type Options struct {
 	// journal.SyncAlways).
 	JournalSync journal.SyncPolicy
 
-	// MaxFrameBytes caps request frames on the binary wire listener
-	// (ServeWire), mirroring MaxBodyBytes on the HTTP side. 0 inherits
-	// MaxBodyBytes; negative is unlimited (bounded at 1 GiB by the
-	// frame layer). Oversize frames answer CodeTooLarge and close the
-	// connection.
-	MaxFrameBytes int
-	// WireIdleTimeout bounds how long a wire connection may sit idle
-	// between request frames (default 2m, matching the HTTP server's
-	// IdleTimeout; negative disables).
-	WireIdleTimeout time.Duration
-
 	// Logf receives response-write failures and other non-fatal server
 	// noise (default log.Printf).
 	Logf func(format string, v ...any)
@@ -176,15 +164,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxCells == 0 {
 		o.MaxCells = 200000
-	}
-	if o.MaxFrameBytes == 0 {
-		o.MaxFrameBytes = int(o.MaxBodyBytes)
-		if o.MaxFrameBytes <= 0 {
-			o.MaxFrameBytes = wire.DefaultMaxFrame
-		}
-	}
-	if o.WireIdleTimeout == 0 {
-		o.WireIdleTimeout = 2 * time.Minute
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf

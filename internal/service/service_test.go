@@ -349,10 +349,11 @@ func TestServiceBadRequests(t *testing.T) {
 	defer ts.Close()
 
 	for name, body := range map[string]string{
-		"empty":       `{}`,
-		"garbage-ckt": `{"circuit":"not a circuit"}`,
-		"bad-config":  `{"circuit":"circuit x\n","config":{"delay_model":"warp"}}`,
-		"unknown-key": `{"circuit":"circuit x\n","nope":1}`,
+		"empty":              `{}`,
+		"garbage-ckt":        `{"circuit":"not a circuit"}`,
+		"bad-config":         `{"circuit":"circuit x\n","config":{"delay_model":"warp"}}`,
+		"unknown-key":        `{"circuit":"circuit x\n","nope":1}`,
+		"unknown-config-key": `{"circuit":"circuit x\n","config":{"bogus_field":1}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -365,6 +366,43 @@ func TestServiceBadRequests(t *testing.T) {
 	}
 	if b := getBody(t, ts.URL+"/jobs/nope", http.StatusNotFound); !bytes.Contains(b, []byte("unknown job")) {
 		t.Errorf("unknown job body: %s", b)
+	}
+}
+
+// TestDeprecatedShardsAccepted keeps old clients working: a config that
+// still carries the removed "shards" or "workers" fields is accepted and
+// lands on the same cache slot (same hash, same bytes) as the submission
+// without them.
+func TestDeprecatedShardsAccepted(t *testing.T) {
+	ckt := readExample(t)
+	svc := New(Options{Workers: 1, Logf: silentLogf})
+	defer svc.Shutdown(context.Background())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	base := postJob(t, ts.URL, map[string]any{"circuit": ckt})
+	if st := pollDone(t, ts.URL, base.ID); st.State != Done {
+		t.Fatalf("base job: state %s, error %q", st.State, st.Error)
+	}
+	wantDB := getBody(t, ts.URL+"/jobs/"+base.ID+"/routedb", 200)
+	hashOf := func(id string) string {
+		j, ok := svc.Job(id)
+		if !ok {
+			t.Fatalf("job %s not found", id)
+		}
+		return j.Hash
+	}
+	wantHash := hashOf(base.ID)
+
+	for _, extra := range []string{`"shards":4`, `"workers":4`, `"shards":2,"workers":4`} {
+		cfg := []byte(`{"use_constraints":true,` + extra + `}`)
+		rep := postJob(t, ts.URL, map[string]any{"circuit": ckt, "config": json.RawMessage(cfg)})
+		if !rep.Cached || hashOf(rep.ID) != wantHash {
+			t.Fatalf("submit with %s missed the base cache slot: %+v", extra, rep)
+		}
+		if got := getBody(t, ts.URL+"/jobs/"+rep.ID+"/routedb", 200); !bytes.Equal(got, wantDB) {
+			t.Fatalf("submit with %s served different routedb bytes", extra)
+		}
 	}
 }
 
