@@ -10,11 +10,11 @@
 //	bgr-route -dataset C1P1 -fig 4 -channel 2
 //	bgr-route -i design.ckt -fig 3 -net n0042
 //	bgr-route -i design.ckt -elmore -r 0.0005 -trace
-//	bgr-route -i design.ckt -engine steiner
+//	bgr-route -i design.ckt -engine sequential
 //
 // -engine selects the routing engine: "concurrent" (the paper's router,
-// default), "sequential" (net-at-a-time baseline) or "steiner"
-// (timing-constrained cost-distance Steiner trees).
+// default) or "sequential" (the net-at-a-time baseline). "steiner" is a
+// second name for the sequential engine's per-net router.
 //
 // Routing is always local; to route on a running bgr-serve, POST the
 // circuit to its HTTP API (docs/SERVICE.md).
@@ -66,7 +66,7 @@ func main() {
 		dbOut   = flag.String("db", "", "write the routing database (JSON handoff) to this file")
 		congest = flag.Bool("congestion", false, "print the per-channel congestion table")
 		phases  = flag.Bool("phases", false, "print the per-phase wall-clock breakdown")
-		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, steiner")
+		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, or steiner (same router as sequential)")
 	)
 	flag.Parse()
 

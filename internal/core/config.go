@@ -27,8 +27,8 @@ import "repro/internal/engine"
 // package's historical API (core.Config literals, core.Result consumers)
 // source-compatible.
 
-// Config controls a routing run; see engine.Config for which fields the
-// concurrent engine honors (all but Alpha and TargetTracks).
+// Config controls a routing run; the concurrent engine honors every
+// field of engine.Config but the deprecated Workers.
 type Config = engine.Config
 
 // DelayModel selects how net delays are derived from routed trees.

@@ -58,13 +58,14 @@ func (r *router) acceptArea(before, after objective) bool {
 	return after.wirelen < before.wirelen-fEps
 }
 
-// rerouteNet rips up one net (and its differential mate), rebuilds its
-// routing graph, reroutes it with the current global criteria, and keeps
-// the result only if accept approves the before/after objectives (§3.5).
+// ripUpAndReroute rips up one net (and its differential mate), rebuilds
+// its routing graph, reroutes it with the current global criteria, and
+// keeps the result only if accept approves the before/after objectives
+// (§3.5).
 // If the plain reroute is rejected, it retries once with the net's
 // feedthroughs re-assigned to the free slots nearest its terminal center
 // (unless NoFeedReroute).
-func (r *router) rerouteNet(n int, areaOrder bool, accept func(before, after objective) bool) (bool, error) {
+func (r *router) ripUpAndReroute(n int, areaOrder bool, accept func(before, after objective) bool) (bool, error) {
 	nets := r.affectedNets(n)
 	improved, err := r.tryReroute(nets, nil, areaOrder, accept)
 	if err != nil || improved {

@@ -745,7 +745,7 @@ func (r *router) recoverViolations(ps *PhaseStat) error {
 				if err := r.check(); err != nil {
 					return err
 				}
-				improved, err := r.rerouteNet(n, r.cfg.AreaFirst, r.acceptDelay)
+				improved, err := r.ripUpAndReroute(n, r.cfg.AreaFirst, r.acceptDelay)
 				if err != nil {
 					return err
 				}
@@ -800,7 +800,7 @@ func (r *router) improveDelay(ps *PhaseStat) error {
 				if err := r.check(); err != nil {
 					return err
 				}
-				improved, err := r.rerouteNet(n, r.cfg.AreaFirst, r.acceptDelay)
+				improved, err := r.ripUpAndReroute(n, r.cfg.AreaFirst, r.acceptDelay)
 				if err != nil {
 					return err
 				}
@@ -829,7 +829,7 @@ func (r *router) improveArea(ps *PhaseStat) error {
 			if err := r.check(); err != nil {
 				return err
 			}
-			improved, err := r.rerouteNet(n, true, r.acceptArea)
+			improved, err := r.ripUpAndReroute(n, true, r.acceptArea)
 			if err != nil {
 				return err
 			}

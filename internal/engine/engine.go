@@ -3,18 +3,17 @@
 // (circuit, grid, feed, rgraph, density, dgraph), the shared Config and
 // Result surface every engine speaks, and a process-wide registry.
 //
-// Three engines implement it:
+// Two routers implement it, under three names:
 //
 //   - "concurrent" (internal/core): the paper's concurrent edge-deletion
 //     router, the default. Highest quality; supports ECO re-optimization
 //     (core.ReOptimize).
-//   - "steiner" (internal/steiner): timing-constrained cost-distance
-//     Steiner trees per Held & Perner — per-net trees built under delay
-//     bounds instead of deleted from redundant graphs. The middle of the
-//     quality/runtime space.
-//   - "sequential" (internal/seqroute): the net-at-a-time baseline the
-//     paper argues against — steiner's build phase without refinement.
-//     Fast drafts, no global margin tracking.
+//   - "sequential" (internal/seqroute) and "steiner" (internal/steiner):
+//     one per-net router, the net-at-a-time baseline the paper argues
+//     against. Nets route one after another in ascending static slack,
+//     each as a congestion-weighted shortest-path tree built on its own
+//     graph instead of deleted from a shared redundant one. Fast drafts,
+//     no global margin tracking. Both names give the same routedb bytes.
 //
 // Every engine routes one circuit on the calling goroutine, reports
 // Progress and fills Result.Phases; parallelism comes from routing

@@ -70,13 +70,12 @@ type Config struct {
 	// AreaFirst promotes the density criteria in every phase
 	// (concurrent engine only; ablation A1).
 	AreaFirst bool
-	// SkipImprovement disables the improvement phases (concurrent:
-	// Fig. 2 lines 08-10, ablation A5; steiner: the delay-refinement
-	// passes; sequential always runs without them).
+	// SkipImprovement disables the improvement phases, Fig. 2 lines
+	// 08-10 (concurrent engine only; ablation A5). The per-net engines
+	// have no improvement phase.
 	SkipImprovement bool
-	// MaxPasses bounds each improvement phase's sweeps. 0 means the
-	// engine default (3 for concurrent, 8 refinement passes for
-	// steiner).
+	// MaxPasses bounds each improvement phase's sweeps; 0 means the
+	// default of 3 (concurrent engine only).
 	MaxPasses int
 
 	// Order picks the feedthrough-assignment net ordering (concurrent
@@ -95,15 +94,6 @@ type Config struct {
 	// Deprecated: ignored; kept so existing callers still compile.
 	Workers int
 
-	// Alpha scales the congestion penalty of the per-net engines
-	// (sequential, steiner); 0 means the default (0.35). The concurrent
-	// engine ignores it.
-	Alpha float64
-	// TargetTracks is the per-channel density above which congestion
-	// starts to cost for the per-net engines; 0 derives it from the
-	// average demand.
-	TargetTracks int
-
 	// Trace, when non-nil, receives a phase-by-phase log.
 	Trace io.Writer
 
@@ -121,8 +111,8 @@ type Config struct {
 type Progress struct {
 	// Phase is the engine's phase name (the concurrent engine uses the
 	// Fig. 2 names "initial", "recover-violations", "improve-delay",
-	// "improve-area"; steiner uses "build" and "refine"; sequential,
-	// steiner's build phase alone, uses "build").
+	// "improve-area"; sequential and steiner, one per-net router with no
+	// improvement phase, use "build" alone).
 	Phase     string
 	Deletions int
 	Reroutes  int

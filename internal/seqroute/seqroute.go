@@ -4,12 +4,13 @@
 // under net-delay constraints) — as the "sequential" engine, the
 // comparison baseline.
 //
-// The baseline is the steiner engine's build phase without refinement:
-// nets route one after another in ascending static slack, each by the
-// congestion-weighted shortest-path union (edge cost = length ·
-// (1 + α·overflow)), and every committed tree's density is final. Earlier
-// nets never see later nets' congestion and nothing is revisited — the
-// fundamental weakness the paper's concurrent scheme removes.
+// The baseline is the per-net router of package steiner under a second
+// name: nets route one after another in ascending static slack, each by
+// the congestion-weighted shortest-path union (trunk edge cost =
+// length · (1 + α·overflow)), and every committed tree's density is
+// final. Earlier nets never see later nets' congestion and nothing is
+// revisited — the fundamental weakness the paper's concurrent scheme
+// removes.
 package seqroute
 
 import (
@@ -20,10 +21,8 @@ import (
 	"repro/internal/steiner"
 )
 
-// Route runs the baseline: steiner.Route with SkipImprovement forced, so
-// the result is the build phase alone.
+// Route runs the baseline: steiner.Route, reported as "sequential".
 func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
-	cfg.SkipImprovement = true
 	res, err := steiner.Route(ctx, ckt, cfg)
 	if err != nil {
 		return nil, err

@@ -87,27 +87,6 @@ func TestBaselineVersusConcurrent(t *testing.T) {
 	t.Logf("tracks: concurrent %d vs sequential %d", con.Dens.TotalTracks(), seq.Dens.TotalTracks())
 }
 
-func TestCongestionAvoidance(t *testing.T) {
-	// With a high alpha the baseline must respect congestion: route the
-	// same circuit with alpha ~0 (pure shortest) and a large alpha, and
-	// check max channel density does not increase.
-	ckt := c1p1(t)
-	pure := route(t, ckt, engine.Config{UseConstraints: true, Alpha: 1e-9})
-	avoid := route(t, ckt, engine.Config{UseConstraints: true, Alpha: 2.0})
-	maxCM := func(r *engine.Result) int {
-		_, cm := r.Dens.MaxCM()
-		return cm
-	}
-	if maxCM(avoid) > maxCM(pure) {
-		t.Errorf("congestion weighting increased max density: %d vs %d", maxCM(avoid), maxCM(pure))
-	}
-	// Wire length stays in the same ballpark (union-of-paths effects can
-	// move it a little in either direction).
-	if ratio := avoid.TotalWirelenUm / pure.TotalWirelenUm; ratio < 0.9 || ratio > 1.2 {
-		t.Errorf("avoidance changed total wire implausibly: %v vs %v", avoid.TotalWirelenUm, pure.TotalWirelenUm)
-	}
-}
-
 func TestBaselinePassesStructuralAudit(t *testing.T) {
 	res := route(t, c1p1(t), engine.Config{UseConstraints: true})
 	// The baseline promises trees, feed coverage and consistent lengths,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -88,8 +89,9 @@ func mustJSONString(s string) string {
 	return b.String()
 }
 
-// TestConfigBounds: non-finite or negative JobConfig numbers are client
-// errors (400), never routing work.
+// TestConfigBounds: non-finite or negative JobConfig numbers, and a
+// non-zero value in a field that can no longer be set, are client errors
+// (400), never routing work.
 func TestConfigBounds(t *testing.T) {
 	cktText := readExample(t)
 	svc := New(Options{Workers: 1, Logf: func(string, ...any) {}})
@@ -102,6 +104,8 @@ func TestConfigBounds(t *testing.T) {
 		"negative": {RPerUm: -1},
 		"passes":   {MaxPasses: -2},
 		"workers":  {Workers: -1},
+		"alpha":    {Alpha: 2},
+		"target":   {TargetTracks: 3},
 	} {
 		cfg := jc
 		if _, err := svc.Submit(SubmitRequest{Circuit: cktText, Config: &cfg}); err == nil {
@@ -111,21 +115,28 @@ func TestConfigBounds(t *testing.T) {
 		}
 	}
 
-	// Over HTTP the same class of error is a 400, not a 5xx.
+	// Over HTTP the same class of error is a 400, not a 5xx. The circuit
+	// is valid, so the config is what gets rejected.
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	for name, body := range map[string]string{
-		"neg-workers": `{"circuit":"circuit x\n","config":{"workers":-1}}`,
-		"neg-passes":  `{"circuit":"circuit x\n","config":{"max_passes":-3}}`,
-		"neg-rperum":  `{"circuit":"circuit x\n","config":{"r_per_um":-0.5}}`,
+	for name, cfg := range map[string]string{
+		"neg-workers": `{"workers":-1}`,
+		"neg-passes":  `{"max_passes":-3}`,
+		"neg-rperum":  `{"r_per_um":-0.5}`,
+		"alpha":       `{"alpha":2}`,
 	} {
+		body := `{"circuit":` + mustJSONString(cktText) + `,"config":` + cfg + `}`
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("bad config")) {
+			t.Errorf("%s: status %d %s, want 400 bad config", name, resp.StatusCode, msg)
 		}
 	}
 }

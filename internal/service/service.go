@@ -181,8 +181,9 @@ func (o Options) withDefaults() Options {
 // re-warming the cache.
 type JobConfig struct {
 	// Engine names the routing engine ("" = the default "concurrent";
-	// bgr-serve also registers "sequential" and "steiner"). Unknown names
-	// are rejected at admission with ErrBadEngine.
+	// bgr-serve also registers "sequential" and "steiner", two names for
+	// one per-net router). Unknown names are rejected at admission with
+	// ErrBadEngine.
 	Engine          string  `json:"engine,omitempty"`
 	UseConstraints  bool    `json:"use_constraints"`
 	DelayModel      string  `json:"delay_model,omitempty"` // "", "lumped", "elmore"
@@ -203,10 +204,12 @@ type JobConfig struct {
 	// unaffected.
 	Workers int `json:"workers,omitempty"`
 	Shards  int `json:"shards,omitempty"`
-	// Alpha and TargetTracks tune the per-net engines (sequential,
-	// steiner): congestion penalty scale (0 = engine default 0.35) and
-	// the per-channel density target (0 = derived from demand). The
-	// concurrent engine ignores both.
+	// Alpha and TargetTracks used to tune the per-net engines'
+	// congestion penalty and density target, which are now fixed. They
+	// are still decoded so that a submission sending them as 0 (the
+	// sample config in docs/SERVICE.md does) is accepted and hashes
+	// like one without them; any other value is a bad config, because
+	// it asked for a routing the server no longer produces.
 	Alpha        float64 `json:"alpha,omitempty"`
 	TargetTracks int     `json:"target_tracks,omitempty"`
 }
@@ -215,8 +218,9 @@ type JobConfig struct {
 func DefaultJobConfig() JobConfig { return JobConfig{UseConstraints: true} }
 
 // validate bounds-checks the numeric fields before they reach the
-// router or the cache key: NaN/Inf/negative resistance and negative
-// counters are client errors, not routing work.
+// router or the cache key: NaN/Inf/negative resistance, negative
+// counters and a value in a field that can no longer be set are client
+// errors, not routing work.
 func (jc JobConfig) validate() error {
 	if math.IsNaN(jc.RPerUm) || math.IsInf(jc.RPerUm, 0) || jc.RPerUm < 0 {
 		return fmt.Errorf("r_per_um %v must be a finite non-negative number", jc.RPerUm)
@@ -227,11 +231,11 @@ func (jc JobConfig) validate() error {
 	if jc.Workers < 0 {
 		return fmt.Errorf("workers %d must not be negative", jc.Workers)
 	}
-	if math.IsNaN(jc.Alpha) || math.IsInf(jc.Alpha, 0) || jc.Alpha < 0 {
-		return fmt.Errorf("alpha %v must be a finite non-negative number", jc.Alpha)
+	if jc.Alpha != 0 {
+		return fmt.Errorf("alpha %v: the field can no longer be set; send 0 or leave it out", jc.Alpha)
 	}
-	if jc.TargetTracks < 0 {
-		return fmt.Errorf("target_tracks %d must not be negative", jc.TargetTracks)
+	if jc.TargetTracks != 0 {
+		return fmt.Errorf("target_tracks %d: the field can no longer be set; send 0 or leave it out", jc.TargetTracks)
 	}
 	return nil
 }
@@ -246,8 +250,6 @@ func (jc JobConfig) toEngine() (engine.Config, error) {
 		SkipImprovement: jc.SkipImprovement,
 		MaxPasses:       jc.MaxPasses,
 		NoFeedReroute:   jc.NoFeedReroute,
-		Alpha:           jc.Alpha,
-		TargetTracks:    jc.TargetTracks,
 	}
 	switch jc.DelayModel {
 	case "", "lumped":

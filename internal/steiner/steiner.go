@@ -1,38 +1,34 @@
-// Package steiner is a timing-constrained Steiner-tree global router in
-// the cost-distance style of Held & Perner: each net gets a tree built by
-// congestion-weighted shortest paths whose edge weight blends routing
-// cost with geometric distance, and nets on violated delay constraints
-// are iteratively re-built with the distance term ramped up until every
-// bound is met (or the pure-distance tree — the per-net delay optimum
-// under the lumped model — is reached).
+// Package steiner is the per-net global router: nets route one after
+// another, each on its own redundant routing graph as the union of
+// congestion-weighted shortest paths between its terminals, and every
+// tree's channel density is committed before the next net routes.
+// Nothing is revisited, so earlier nets never see later nets'
+// congestion. Timing reaches the routing only through the net order:
+// with constraints on, feedthrough assignment and the build both take
+// nets in ascending static slack.
 //
 // It shares the full substrate with the other engines: feedthrough
 // assignment (package feed), redundant routing graphs (package rgraph),
 // channel density (package density) and the delay-constraint graph
-// (package dgraph). Unlike the concurrent engine it never deletes edges
-// from a shared redundant graph. Its build phase alone is the sequential
-// baseline (package seqroute runs it with SkipImprovement); the refinement
-// phase then revisits committed nets when the timing analysis says they
-// sit on a violated constraint's critical path.
+// (package dgraph), which orders the nets and gives the final lumped
+// timing. Unlike the concurrent engine it never deletes edges from a
+// shared redundant graph. The router registers here as "steiner";
+// package seqroute registers the same router as "sequential", the
+// net-at-a-time baseline the paper argues against.
 //
-// The edge weight of net n is
+// The edge weight is
 //
-//	w(e) = len(e)·(1 + α·overflow(e)) + λ_n·len(e)
+//	w(e) = len(e)·(1 + α·overflow(e))  on trunk edges, len(e) on all others
 //
-// where overflow is the channel-density excess over the target track
-// count and λ_n starts at 0 and ramps ×4 (plus one) per refinement pass
-// the net is found critical. Because the lumped delay model is monotone
-// in total tree length, the λ→∞ limit — the pure shortest-length tree —
-// is the per-net delay optimum on this substrate; the final refinement
-// pass jumps critical nets straight to it, so any bound the substrate
-// can meet per net is met.
+// where α is 0.35 and overflow is how far the channel's committed
+// density plus the net's pitch exceeds a target track count derived
+// from the circuit's average column demand.
 package steiner
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/circuit"
@@ -44,20 +40,14 @@ import (
 	"repro/internal/rgraph"
 )
 
-const (
-	// defaultAlpha is the congestion penalty when Config.Alpha is 0.
-	defaultAlpha = 0.35
-	// defaultPasses bounds the refinement loop when Config.MaxPasses is 0.
-	defaultPasses = 8
-	// lambdaRamp multiplies a critical net's distance weight each pass.
-	lambdaRamp = 4.0
-)
+// alpha scales the congestion penalty of a trunk edge per track of
+// overflow.
+const alpha = 0.35
 
 // run carries one routing invocation's state.
 type run struct {
 	ctx    context.Context
 	cfg    engine.Config
-	alpha  float64
 	target int
 
 	ckt    *circuit.Circuit
@@ -66,18 +56,11 @@ type run struct {
 	graphs []*rgraph.Graph
 	wl     []float64
 	dens   *density.State
-
-	// lambda is the per-net distance weight; pure marks nets routed by
-	// length alone (the delay-optimal fallback).
-	lambda []float64
-	pure   []bool
-
-	reroutes int
 }
 
-// Route routes ckt with the Steiner engine. It is the package-level
-// entry used by the adapter and by experiments that want this engine
-// without the registry.
+// Route routes ckt with the per-net router. It is the package-level
+// entry used by the adapter, by package seqroute and by experiments that
+// want this engine without the registry.
 func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
 	start := time.Now() //bgr:allow clockuse -- profiling only
 	if err := ckt.Validate(); err != nil {
@@ -98,52 +81,29 @@ func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engin
 	r := &run{
 		ctx:    ctx,
 		cfg:    cfg,
-		alpha:  cfg.Alpha,
-		target: cfg.TargetTracks,
+		target: demandTarget(fr.Ckt),
 		ckt:    fr.Ckt,
 		geo:    fr.Geo,
 		feeds:  fr.Feeds,
 		graphs: make([]*rgraph.Graph, len(fr.Ckt.Nets)),
 		wl:     make([]float64, len(fr.Ckt.Nets)),
 		dens:   density.New(fr.Ckt.Channels(), fr.Ckt.Cols),
-		lambda: make([]float64, len(fr.Ckt.Nets)),
-		pure:   make([]bool, len(fr.Ckt.Nets)),
-	}
-	if r.alpha == 0 { //bgr:allow floateq -- zero-value Config sentinel: an unset Alpha is exactly 0
-		r.alpha = defaultAlpha
-	}
-	if r.target <= 0 {
-		r.target = demandTarget(fr.Ckt)
 	}
 
-	var phases []engine.PhaseStat
 	buildStart := time.Now() //bgr:allow clockuse -- profiling only
 	built, err := r.build(order)
 	if err != nil {
 		return nil, err
 	}
-	phases = append(phases, engine.PhaseStat{
+	phases := []engine.PhaseStat{{
 		Name:     "build",
 		Accepted: built,
 		Duration: time.Since(buildStart), //bgr:allow clockuse -- profiling only
-	})
+	}}
 
 	tm, err := r.analyze()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.UseConstraints && !cfg.SkipImprovement {
-		refineStart := time.Now() //bgr:allow clockuse -- profiling only
-		tm, err = r.refine(tm)
-		if err != nil {
-			return nil, err
-		}
-		phases = append(phases, engine.PhaseStat{
-			Name:     "refine",
-			Reroutes: r.reroutes,
-			Accepted: r.reroutes,
-			Duration: time.Since(refineStart), //bgr:allow clockuse -- profiling only
-		})
 	}
 
 	res := &engine.Result{
@@ -219,78 +179,14 @@ func (r *run) analyze() (*dgraph.Timing, error) {
 	return tm, nil
 }
 
-// refine rips up and re-builds nets on violated constraints' critical
-// paths, ramping their distance weight each pass; the last pass routes
-// remaining offenders by pure length, the per-net delay optimum.
-func (r *run) refine(tm *dgraph.Timing) (*dgraph.Timing, error) {
-	passes := r.cfg.MaxPasses
-	if passes <= 0 {
-		passes = defaultPasses
-	}
-	r.emit(engine.Progress{Phase: "refine", Violations: violations(tm)})
-	for pass := 1; pass <= passes; pass++ {
-		if err := r.ctx.Err(); err != nil {
-			return tm, err
-		}
-		crit := r.criticalSet(tm)
-		if len(crit) == 0 {
-			break
-		}
-		last := pass == passes
-		for _, n := range crit {
-			if r.pure[n] {
-				continue // already at the per-net optimum
-			}
-			if last {
-				r.pure[n] = true
-			} else {
-				r.lambda[n] = r.lambda[n]*lambdaRamp + 1
-			}
-			if err := r.rerouteNet(n, tm); err != nil {
-				return tm, err
-			}
-			r.reroutes++
-			r.emit(engine.Progress{Phase: "refine", Reroutes: r.reroutes, Violations: violations(tm)})
-		}
-		tm.Analyze()
-	}
-	r.emit(engine.Progress{Phase: "refine", Reroutes: r.reroutes, Violations: violations(tm), Done: true})
-	return tm, nil
-}
-
-// criticalSet returns the nets on any violated constraint's critical
-// path, each paired with its differential mate, sorted and deduplicated
-// so the reroute order is index-deterministic.
-func (r *run) criticalSet(tm *dgraph.Timing) []int {
-	seen := make([]bool, len(r.ckt.Nets))
-	var crit []int
-	for p := range tm.Cons {
-		if tm.Cons[p].Margin >= 0 {
-			continue
-		}
-		for _, n := range tm.CriticalNets(p) {
-			if !seen[n] {
-				seen[n] = true
-				crit = append(crit, n)
-			}
-			if m := r.ckt.Nets[n].DiffMate; m != circuit.NoNet && !seen[m] {
-				seen[m] = true
-				crit = append(crit, m)
-			}
-		}
-	}
-	sort.Ints(crit)
-	return crit
-}
-
-// routeNet builds net n's redundant graph, selects the blended-weight
-// tree, and commits it.
+// routeNet builds net n's redundant graph, selects the
+// congestion-weighted tree, and commits it.
 func (r *run) routeNet(n int) error {
 	g, err := rgraph.Build(r.ckt, r.geo, n, r.feeds[n])
 	if err != nil {
 		return err
 	}
-	tree, err := g.TentativeWeighted(r.weight(g, n))
+	tree, err := g.TentativeWeighted(r.weight(g))
 	if err != nil {
 		return err
 	}
@@ -309,42 +205,19 @@ func (r *run) routeNet(n int) error {
 	return nil
 }
 
-// rerouteNet rips up net n's committed tree (releasing its density) and
-// routes it again under the current weight, updating the timing's view
-// of the net.
-func (r *run) rerouteNet(n int, tm *dgraph.Timing) error {
-	old := r.graphs[n]
-	ft := old.FinalTree()
-	for _, e := range ft.Edges {
-		ed := &old.Edges[e]
-		if ed.Kind == rgraph.ETrunk {
-			r.dens.Remove(ed.Ch, ed.X1, ed.X2, old.Pitch)
-			r.dens.RemoveBridge(ed.Ch, ed.X1, ed.X2, old.Pitch)
-		}
-	}
-	if err := r.routeNet(n); err != nil {
-		return err
-	}
-	tm.SetNetLumped(n, r.wl[n])
-	return nil
-}
-
-// weight is the cost-distance edge weight of net n:
-// len·(1+α·overflow) + λ_n·len, or pure length once the net is in
-// fallback mode.
-func (r *run) weight(g *rgraph.Graph, n int) func(e int) float64 {
-	lam := r.lambda[n]
-	pure := r.pure[n]
+// weight is the congestion-weighted edge cost on net graph g:
+// len·(1+α·overflow) on a trunk edge whose channel would exceed the
+// target, len on every other edge.
+func (r *run) weight(g *rgraph.Graph) func(e int) float64 {
 	return func(e int) float64 {
 		ed := &g.Edges[e]
 		c := ed.Len
-		if !pure && ed.Kind == rgraph.ETrunk {
+		if ed.Kind == rgraph.ETrunk {
 			over := r.dens.Edge(ed.Ch, ed.X1, ed.X2).DM + g.Pitch - r.target
 			if over > 0 {
-				c *= 1 + r.alpha*float64(over)
+				c *= 1 + alpha*float64(over)
 			}
 		}
-		c += lam * ed.Len
 		if c == 0 { //bgr:allow floateq -- guards against an exactly-zero-length edge cost before Dijkstra
 			c = 1e-9
 		}
@@ -358,20 +231,10 @@ func (r *run) emit(p engine.Progress) {
 	}
 }
 
-func violations(tm *dgraph.Timing) int {
-	v := 0
-	for p := range tm.Cons {
-		if tm.Cons[p].Margin < 0 {
-			v++
-		}
-	}
-	return v
-}
-
-// demandTarget derives the per-channel density target used when
-// Config.TargetTracks is 0: half-perimeter column demand spread over
-// channels × columns, floored at one track. It runs after feedthrough
-// assignment, so it sees the (possibly widened) chip.
+// demandTarget derives the per-channel density target: half-perimeter
+// column demand spread over channels × columns, floored at one track.
+// It runs after feedthrough assignment, so it sees the (possibly
+// widened) chip.
 func demandTarget(ckt *circuit.Circuit) int {
 	var demandCols int
 	for n := range ckt.Nets {
