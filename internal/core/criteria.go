@@ -149,18 +149,15 @@ func keyDensCompare(ka, kb *candKey) int {
 
 // netBest is one net's cached selection result: the edge the §3.4/§3.5
 // total order ranks first among the net's own candidates, plus its
-// evaluated key so the cross-net argmin never re-derives criteria. It
-// stays valid while (a) the net's timing epoch is unchanged — covering its
-// graph, its differential mate and every constraint touching either — and
-// (b) none of the channels the net's edges read density criteria from has
-// changed.
+// evaluated key so the cross-net argmin never re-derives criteria. It is
+// current while the net's dirty bit is clear (see router.dirtyBest): the
+// bit goes up whenever anything the ranking reads changes — the net's
+// timing epoch (its graph, its differential mate, every constraint
+// touching either), the density of a channel holding one of its
+// candidates, or the criteria ordering.
 type netBest struct {
-	key       candKey
-	chanV     []uint64 // density version snapshots, indexed like netChans[n]
-	edge      int32    // best candidate edge id, -1 when the net has none
-	tim       int32    // timEpoch snapshot
-	areaOrder bool     // criteria ordering the ranking was computed under
-	valid     bool
+	key  candKey
+	edge int32 // best candidate edge id, -1 when the net has none
 }
 
 // dPrime returns d'(e): the tentative-tree length of the net if edge e
@@ -293,12 +290,12 @@ func (r *router) delayCriteria(n, e int) delayCrit {
 }
 
 // drainDensityChanges folds the density mutations since the last
-// selectEdge call into the dirty-net bitset: a channel whose version
-// moved invalidates exactly the nets whose candidate graphs touch it
-// (chanNetBits). OR-ing masks is order-independent, so the log drains in
-// mutation order. An ordering-criterion flip invalidates everything.
-// After it returns the superset invariant holds: a clear bit proves
-// bestValid without reading any epoch.
+// selectEdge call into the dirty-net bitset: a changed channel
+// invalidates exactly the nets with a candidate in it (chanNetBits).
+// OR-ing masks is order-independent, so the log drains in mutation
+// order. An ordering-criterion flip invalidates everything. After it
+// returns, every net whose cached best could differ from a fresh
+// scoreNet has its bit set.
 func (r *router) drainDensityChanges(areaOrder bool) {
 	for _, ch := range r.dens.TakeChanged() {
 		row := r.chanNetBits[ch]
@@ -328,22 +325,18 @@ func (r *router) selectEdge(restrict []int, areaOrder bool) (candidate, bool) {
 	nNets := len(r.graphs)
 	r.drainDensityChanges(areaOrder)
 
-	// Re-score each stale net as the walk reaches it; scoring stamps the
-	// cache against the current epochs and density versions, so the net's
-	// dirty bit comes down either way. The two explicit loops (restricted
-	// and full) would be one closure-driven helper, but the closure forces
-	// every captured local to the heap — this is the hottest call site in
-	// the router.
+	// Re-score each dirty net as the walk reaches it and bring its bit
+	// down. The two explicit loops (restricted and full) would be one
+	// closure-driven helper, but the closure forces every captured local
+	// to the heap — this is the hottest call site in the router.
 	scored := 0
 	if restrict != nil {
 		for _, n := range restrict {
 			if r.dirtyBest[n>>6]&(1<<(uint(n)&63)) == 0 {
 				continue
 			}
-			if !r.bestValid(n, areaOrder) {
-				r.scoreNet(n, areaOrder)
-				scored++
-			}
+			r.scoreNet(n, areaOrder)
+			scored++
 			r.clearBestDirty(n)
 		}
 	} else {
@@ -355,10 +348,8 @@ func (r *router) selectEdge(restrict []int, areaOrder bool) (candidate, bool) {
 				if n >= nNets {
 					break
 				}
-				if !r.bestValid(n, areaOrder) {
-					r.scoreNet(n, areaOrder)
-					scored++
-				}
+				r.scoreNet(n, areaOrder)
+				scored++
 				r.clearBestDirty(n)
 			}
 		}
@@ -403,53 +394,18 @@ func (r *router) selectEdge(restrict []int, areaOrder bool) (candidate, bool) {
 	return best, best.net != -1
 }
 
-// scoreNet recomputes net n's ranked best candidate and stamps the cache
-// with the state it was computed under.
+// scoreNet recomputes net n's ranked best candidate over its candidate
+// list.
 func (r *router) scoreNet(n int, areaOrder bool) {
 	b := &r.best[n]
 	b.edge = -1
-	b.areaOrder = areaOrder
-	b.tim = r.timEpoch[n]
-	chans := r.netChans[n]
-	if cap(b.chanV) < len(chans) {
-		b.chanV = make([]uint64, len(chans))
-	}
-	b.chanV = b.chanV[:len(chans)]
-	for i, ch := range chans {
-		b.chanV[i] = r.dens.Version(ch)
-	}
-	if r.nbEpoch[n] != r.geoEpoch[n] {
-		r.nbList[n] = r.graphs[n].AppendNonBridges(r.nbList[n][:0])
-		r.nbEpoch[n] = r.geoEpoch[n] //bgr:allow epochs -- stamps the just-rebuilt candidate list as fresh; not an invalidation
-	}
-	nb := r.nbList[n]
-	for _, e := range nb {
+	for _, e := range r.nbList[n] {
 		c := candidate{net: int32(n), edge: e}
 		k := r.keyFor(c)
 		if b.edge == -1 || r.keyLess(&k, &b.key, c, candidate{net: int32(n), edge: b.edge}, areaOrder) {
 			b.edge, b.key = e, k
 		}
 	}
-	b.valid = true
-}
-
-// bestValid reports whether net n's cached ranking still reflects the
-// current router state under the requested criteria ordering.
-func (r *router) bestValid(n int, areaOrder bool) bool {
-	b := &r.best[n]
-	if !b.valid || b.areaOrder != areaOrder || b.tim != r.timEpoch[n] {
-		return false
-	}
-	chans := r.netChans[n]
-	if len(b.chanV) != len(chans) {
-		return false
-	}
-	for i, ch := range chans {
-		if b.chanV[i] != r.dens.Version(ch) {
-			return false
-		}
-	}
-	return true
 }
 
 const fEps = 1e-9

@@ -27,12 +27,32 @@ func (r *router) recount() *density.State {
 	return d
 }
 
+// sampleDiffTaps is SampleDiff with two taps on each differential pin, so
+// the pair's routing graphs start with cycles and the initial phase
+// deletes edges of both mates in lock step. SampleDiff, SampleDiffCross
+// and the generated data sets never delete a pair edge: their pair graphs
+// are trees from the start.
+func sampleDiffTaps() *circuit.Circuit {
+	c := circuit.SampleDiff()
+	c.Name = "sample-diff-taps"
+	for _, d := range []struct {
+		cell      int
+		pin, pinB string
+	}{{circuit.SampleDRV2, "Q", "QB"}, {circuit.SampleRCV2, "IN", "INB"}} {
+		ct := &c.Lib[d.cell]
+		ct.Pins[ct.PinIndex(d.pin)].Offsets = []int{0, 2}
+		ct.Pins[ct.PinIndex(d.pinB)].Offsets = []int{1, 3}
+	}
+	return c
+}
+
 // TestDensityConsistentAfterEveryDeletion drives the router step by step
 // (random and heuristic selections interleaved) and compares the
-// incremental density state against a full recount after every single
-// deletion — the strongest incremental-bookkeeping check.
+// incremental density state against a full recount, and the selection
+// engine's channel sets against the graphs, after every single deletion —
+// the strongest incremental-bookkeeping check.
 func TestDensityConsistentAfterEveryDeletion(t *testing.T) {
-	for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiffCross} {
+	for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiffCross, sampleDiffTaps} {
 		r := newTestRouter(t, build(), Config{UseConstraints: true})
 		rng := rand.New(rand.NewSource(61))
 		step := 0
@@ -77,10 +97,42 @@ func TestDensityConsistentAfterEveryDeletion(t *testing.T) {
 					t.Fatalf("step %d net %d: cached length %v, fresh %v", step, n, r.wl[n], tr.Length)
 				}
 			}
+			checkNetChans(t, r, step)
 			step++
 		}
 		if step == 0 {
 			t.Fatal("no deletions exercised")
+		}
+	}
+}
+
+// checkNetChans checks the selection engine's channel index against the
+// graphs: netChans[n] is the set of distinct channels of net n's alive
+// non-bridge edges, and bit n of chanNetBits[ch] is set exactly when ch
+// is in that set.
+func checkNetChans(t *testing.T, r *router, step int) {
+	t.Helper()
+	for n, g := range r.graphs {
+		want := make([]bool, r.dens.Channels())
+		for _, e := range g.NonBridges() {
+			want[g.Edges[e].Ch] = true
+		}
+		got := make([]bool, len(want))
+		for _, ch := range r.netChans[n] {
+			if got[ch] {
+				t.Fatalf("step %d net %d: channel %d listed twice in %v", step, n, ch, r.netChans[n])
+			}
+			got[ch] = true
+		}
+		for ch := range want {
+			if got[ch] != want[ch] {
+				t.Fatalf("step %d net %d: channel %d in netChans = %v, holds a candidate = %v",
+					step, n, ch, got[ch], want[ch])
+			}
+			if bit := r.chanNetBits[ch][n>>6]&(1<<(uint(n)&63)) != 0; bit != want[ch] {
+				t.Fatalf("step %d net %d: chanNetBits[%d] bit = %v, holds a candidate = %v",
+					step, n, ch, bit, want[ch])
+			}
 		}
 	}
 }

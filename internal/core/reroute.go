@@ -151,7 +151,7 @@ func (r *router) tryReroute(nets []int, altFeeds [][]rgraph.FeedPos, areaOrder b
 			r.touchNet(nn)
 			r.touchGeo(nn)
 			r.resizeCaches(nn)
-			r.recomputeNetChans(nn)
+			r.refreshCandidates(nn)
 		}
 		restoreFeeds()
 		return r.refreshTrees(nets)
@@ -172,7 +172,7 @@ func (r *router) tryReroute(nets []int, altFeeds [][]rgraph.FeedPos, areaOrder b
 					r.touchNet(m)
 					r.touchGeo(m)
 					r.resizeCaches(m)
-					r.recomputeNetChans(m)
+					r.refreshCandidates(m)
 				}
 				r.densAddGraph(m, r.graphs[m])
 			}
@@ -184,7 +184,7 @@ func (r *router) tryReroute(nets []int, altFeeds [][]rgraph.FeedPos, areaOrder b
 		r.touchNet(nn)
 		r.touchGeo(nn)
 		r.resizeCaches(nn)
-		r.recomputeNetChans(nn)
+		r.refreshCandidates(nn)
 	}
 	if len(nets) == 2 {
 		if err := sameShape(r.graphs[nets[0]], r.graphs[nets[1]]); err != nil {

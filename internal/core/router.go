@@ -46,22 +46,23 @@ type router struct {
 	// invalidations that clear dcCache.
 	geoEpoch []int32
 	dpCache  [][]dpEntry
-	// nbList[n] caches the net's alive non-bridge (candidate) edge list,
-	// valid while nbEpoch[n] == geoEpoch[n].
-	nbList  [][]int32
-	nbEpoch []int32
 
 	// Incremental selection engine (see criteria.go).
 	best       []netBest // cached per-net ranked best candidate
 	netsOfCons [][]int   // reverse of dg.ConsOfNet: nets touching each constraint
-	netChans   [][]int   // distinct channels net n's edges read density from
-	// dirtyBest is a superset filter over stale cached bests: bit n clear
-	// guarantees bestValid(n); bit n set means "recheck". Bits are set by
-	// touchNet/touchGeo, by recomputeNetChans, and by draining the density
+	// nbList[n] is net n's candidate list (its alive non-bridge edges, in
+	// edge order) and netChans[n] the distinct channels those candidates
+	// lie in — the only channels keyFor reads density from for net n.
+	// refreshCandidates rebuilds both wherever the candidate set changes.
+	nbList   [][]int32
+	netChans [][]int
+	// dirtyBest marks the nets whose cached best may be stale: bit n clear
+	// guarantees best[n] is what scoreNet would compute now, and
+	// selectEdge re-scores every net whose bit is set. Bits are set by
+	// touchNet/touchGeo, by refreshCandidates, and by draining the density
 	// state's changed channels through chanNetBits (bit n of
-	// chanNetBits[ch] set iff ch ∈ netChans[n]). selectEdge clears bits as
-	// it revalidates or rescores, so steady-state stale collection visits
-	// only the dirty few instead of version-checking every net.
+	// chanNetBits[ch] set iff ch ∈ netChans[n]), so a density change
+	// re-scores only the nets with a candidate in a changed channel.
 	dirtyBest   []uint64
 	chanNetBits [][]uint64
 	lastAreaOrd bool // ordering of the previous selectEdge; a flip invalidates all
@@ -90,7 +91,7 @@ type router struct {
 	elmBuf []float64
 	//bgr:owned -- applyNetDelay: per-arc delays
 	perBuf   []float64
-	chanMark []int32 // recomputeNetChans channel dedup stamps
+	chanMark []int32 // refreshCandidates channel dedup stamps
 	chanGen  int32
 	//bgr:owned -- congestedNets scored list
 	congBuf []congScored
@@ -362,9 +363,9 @@ func (r *router) markNetChanBits(n int, chans []int) {
 	}
 }
 
-// buildIndexes derives the static selection-engine indexes once graphs and
-// the delay graph exist: the constraint→nets reverse map and each net's
-// channel set.
+// buildIndexes derives the selection-engine indexes once graphs and the
+// delay graph exist: the constraint→nets reverse map and each net's
+// candidates and channel set.
 func (r *router) buildIndexes() {
 	r.netsOfCons = make([][]int, len(r.ckt.Cons))
 	for n := range r.graphs {
@@ -372,16 +373,20 @@ func (r *router) buildIndexes() {
 			r.netsOfCons[p] = append(r.netsOfCons[p], n)
 		}
 	}
+	r.nbList = make([][]int32, len(r.graphs))
 	r.netChans = make([][]int, len(r.graphs))
 	for n := range r.graphs {
-		r.recomputeNetChans(n)
+		r.refreshCandidates(n)
 	}
 }
 
-// recomputeNetChans rebuilds net n's channel set: every channel any of its
-// edges reads density criteria from. Dedup is by generation stamp in the
+// refreshCandidates rebuilds net n's candidate list and channel set after
+// its alive-edge set or bridge flags changed, and moves the net's bits in
+// chanNetBits to the new channels. keyFor reads density only in the
+// channel of the candidate it scores, so a density change anywhere else
+// cannot move the net's best. Dedup is by generation stamp in the
 // router-owned chanMark array, so a rebuild allocates nothing.
-func (r *router) recomputeNetChans(n int) {
+func (r *router) refreshCandidates(n int) {
 	r.chanGen++
 	if r.chanGen == 0 { // wrapped: stale stamps could read as current
 		for i := range r.chanMark {
@@ -391,10 +396,12 @@ func (r *router) recomputeNetChans(n int) {
 	}
 	gen := r.chanGen
 	r.clearNetChanBits(n)
+	g := r.graphs[n]
+	nb := g.AppendNonBridges(r.nbList[n][:0])
+	r.nbList[n] = nb
 	chans := r.netChans[n][:0]
-	for i := range r.graphs[n].Edges {
-		ch := r.graphs[n].Edges[i].Ch
-		if ch >= 0 && ch < len(r.chanMark) && r.chanMark[ch] != gen {
+	for _, e := range nb {
+		if ch := g.Edges[e].Ch; r.chanMark[ch] != gen {
 			r.chanMark[ch] = gen
 			chans = append(chans, ch)
 		}
@@ -448,8 +455,6 @@ func (r *router) initState(graphs []*rgraph.Graph) error {
 		r.geoEpoch[n] = 1 // zero-valued dpCache entries must read as stale
 	}
 	r.dpCache = make([][]dpEntry, nNets)
-	r.nbList = make([][]int32, nNets)
-	r.nbEpoch = make([]int32, nNets) // 0 != initial geoEpoch 1: starts stale
 	r.best = make([]netBest, nNets)
 	r.dens = densityFor(r.ckt)
 	r.slotCols = r.ckt.Cols
@@ -616,10 +621,9 @@ func (r *router) touchNet(n int) {
 }
 
 // touchGeo advances net n's geometry epoch after its alive-edge set
-// changed (or must be treated as changed), invalidating the d' cache and
-// the cached non-bridge candidate list — both are stamped with geoEpoch.
-// Every geoEpoch write outside initialization goes through here (the
-// bgr-vet epochs contract).
+// changed (or must be treated as changed), invalidating the d' cache,
+// which is stamped with geoEpoch. Every geoEpoch write outside
+// initialization goes through here (the bgr-vet epochs contract).
 func (r *router) touchGeo(n int) {
 	r.geoEpoch[n]++
 	r.markBestDirty(n)
@@ -674,6 +678,7 @@ func (r *router) deleteEdge(n, e int) error {
 		r.densFlipBridges(nn, flips)
 		r.touchNet(nn)
 		r.touchGeo(nn)
+		r.refreshCandidates(nn)
 		for _, re := range removed {
 			if r.trees[nn].InTree[re] {
 				r.delDirty[nDirty] = nn

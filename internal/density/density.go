@@ -47,11 +47,10 @@ type State struct {
 	dm       []int32 // d_m, channel-major
 	dirty    []bool
 	stats    []ChannelStats
-	version  []uint64
 
-	// changed accumulates the channels whose version moved since the last
+	// changed accumulates the channels whose profile moved since the last
 	// TakeChanged, deduplicated via changedMark; the router drains it to
-	// invalidate only the nets touching those channels.
+	// invalidate only the nets with a candidate in those channels.
 	changed     []int32
 	changedMark []bool
 }
@@ -65,7 +64,6 @@ func New(channels, cols int) *State {
 		dm:       make([]int32, channels*cols),
 		dirty:    make([]bool, channels),
 		stats:    make([]ChannelStats, channels),
-		version:  make([]uint64, channels),
 
 		changed:     make([]int32, 0, channels),
 		changedMark: make([]bool, channels),
@@ -153,19 +151,18 @@ func (s *State) RemoveBridge(ch, x1, x2, w int) {
 	s.touch(ch)
 }
 
-// touch records a profile mutation: the channel's stats are stale and its
-// version moves, which is what the router's per-net candidate caches key
-// their density snapshots on.
+// touch records a profile mutation: the channel's stats are stale and the
+// channel joins the changed log, which the router drains to invalidate
+// its per-net candidate caches.
 func (s *State) touch(ch int) {
 	s.dirty[ch] = true
-	s.version[ch]++
 	if !s.changedMark[ch] {
 		s.changedMark[ch] = true
 		s.changed = append(s.changed, int32(ch))
 	}
 }
 
-// TakeChanged returns the channels whose version moved since the previous
+// TakeChanged returns the channels whose profile moved since the previous
 // call and resets the record. The slice is valid until the next profile
 // mutation (it is reused internally); callers must consume it before
 // touching the state again.
@@ -177,11 +174,6 @@ func (s *State) TakeChanged() []int32 {
 	s.changed = s.changed[:0]
 	return out
 }
-
-// Version returns a counter that increments on every profile mutation of
-// the channel (d_M or d_m). Equal versions imply identical profiles, so
-// cached per-channel criteria stamped with it stay exact.
-func (s *State) Version(ch int) uint64 { return s.version[ch] }
 
 // Channel returns the current §3.3 parameters of a channel, recomputing
 // them first if the profile changed since they were last read.

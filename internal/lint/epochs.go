@@ -7,7 +7,7 @@ import (
 )
 
 // analyzerEpochs enforces the PR-2 cache contract: epoch and version
-// counters (router.timEpoch/geoEpoch/nbEpoch, density.State.version) are
+// counters (router.timEpoch and router.geoEpoch) are
 // the invalidation backbone of the incremental selection engine, and a
 // write to one of them anywhere except its owning bump/invalidate method
 // bypasses the paired bookkeeping (mate invalidation, dirty marking) that
@@ -30,7 +30,7 @@ import (
 // flags in other packages (density.State) stay untouched.
 //
 // The third contract is PR-7's dirty-net bitset: router.dirtyBest and the
-// per-channel net masks (suffix "NetBits") replace the O(nets) bestValid
+// per-channel net masks (suffix "NetBits") replace an O(nets) validity
 // scan in selectEdge, and they stay exact only while every density
 // mutation is mirrored by a mark and every consumption by a drain. A
 // write to one of these fields (receiver struct named "router") is
