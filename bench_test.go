@@ -436,32 +436,6 @@ func BenchmarkBaselineSequential(b *testing.B) {
 	})
 }
 
-// BenchmarkChannelAlgorithms compares the two channel routers' track
-// usage and speed on the same global routing.
-func BenchmarkChannelAlgorithms(b *testing.B) {
-	res, err := core.Route(mustDataset(b, "C1P1"), core.Config{UseConstraints: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, algo := range []struct {
-		name string
-		a    chanroute.Algorithm
-	}{{"leftEdge", chanroute.LeftEdge}, {"greedy", chanroute.Greedy}} {
-		b.Run(algo.name, func(b *testing.B) {
-			var cr *chanroute.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				cr, err = chanroute.RouteWith(res.Ckt, res.Graphs, algo.a)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(cr.HeightUm, "height_um")
-			b.ReportMetric(cr.AreaMm2*1000, "area_um2e3")
-		})
-	}
-}
-
 // BenchmarkStressScale routes the ~2000-cell stress circuit end to end.
 func BenchmarkStressScale(b *testing.B) {
 	ckt, err := gen.Generate(gen.StressParams())

@@ -62,7 +62,6 @@ func main() {
 		doCheck = flag.Bool("verify", false, "audit the routing with the structural verifier")
 		layout  = flag.Bool("layout", false, "draw an ASCII layout of the routed chip")
 		svgOut  = flag.String("svg", "", "write an SVG drawing of the routed chip to this file")
-		greedy  = flag.Bool("greedy", false, "use the greedy channel router instead of left-edge")
 		dbOut   = flag.String("db", "", "write the routing database (JSON handoff) to this file")
 		congest = flag.Bool("congestion", false, "print the per-channel congestion table")
 		phases  = flag.Bool("phases", false, "print the per-phase wall-clock breakdown")
@@ -133,11 +132,7 @@ func main() {
 	if *layout {
 		fmt.Print(render.Layout(res))
 	}
-	algo := chanroute.LeftEdge
-	if *greedy {
-		algo = chanroute.Greedy
-	}
-	cr, err := chanroute.RouteWith(res.Ckt, res.Graphs, algo)
+	cr, err := chanroute.Route(res.Ckt, res.Graphs)
 	if err != nil {
 		fatal(err)
 	}

@@ -98,8 +98,9 @@ func TestReOptimizeDeterministic(t *testing.T) {
 
 // TestParallelScoringDeterministic routes every data set in both modes
 // alone, then from two goroutines at once, and requires both concurrent
-// routes to produce the alone route's routedb JSON. Concurrent routes
-// share the package-level tree pool, as the service's job workers do.
+// routes to produce the alone route's routedb JSON. The two routes share
+// the input circuit and run side by side, as the service's job workers
+// do; under -race this checks that they write no state they share.
 func TestParallelScoringDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset sweep in -short mode")

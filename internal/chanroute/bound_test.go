@@ -51,9 +51,9 @@ func TestLowerBoundWideSegments(t *testing.T) {
 	}
 }
 
-// TestSolversRespectLowerBound: both channel routers always meet or exceed
-// the lower bound, and on random instances the left-edge router stays
-// within a small factor of it.
+// TestSolversRespectLowerBound: the left-edge router always meets or
+// exceeds the lower bound, and on random instances it stays within a
+// small factor of it.
 func TestSolversRespectLowerBound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -72,16 +72,10 @@ func TestSolversRespectLowerBound(t *testing.T) {
 		}
 		state := rng.Int63()
 		rng = rand.New(rand.NewSource(state))
-		a := mk()
-		rng = rand.New(rand.NewSource(state))
-		b := mk()
-		bound := LowerBound(a)
-		Solve(a)
-		SolveGreedy(b)
-		if a.Tracks < bound || b.Tracks < bound {
-			return false
-		}
-		return a.Tracks <= 2*bound+2
+		ch := mk()
+		bound := LowerBound(ch)
+		Solve(ch)
+		return ch.Tracks >= bound && ch.Tracks <= 2*bound+2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(53))}); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,8 @@
 // The algorithm is a constrained left-edge router: segments are packed
 // into tracks bottom-up honoring the vertical constraint graph (a top pin
 // and a bottom pin in the same column force their nets' relative track
-// order); cycles are broken by dogleg splitting.
+// order); cycles are broken by dogleg splitting where a segment can be
+// split, and waived (Channel.VCGViolations) where none can.
 package chanroute
 
 import (
@@ -47,8 +48,11 @@ type Channel struct {
 	Segments []*Segment
 	// Tracks is the resulting track count (assigned by Route).
 	Tracks int
-	// VCGViolations counts constraints that had to be dropped after the
-	// dogleg budget ran out (0 in normal operation).
+	// VCGViolations counts the segments Solve packed with their vertical
+	// constraints waived, because no segment was free to place and
+	// dogleg could not split one. It is not always 0 on routed circuits:
+	// a two-net cycle between adjacent columns (each segment with
+	// Hi-Lo == 1, so no interior pin) has nothing to split.
 	VCGViolations int
 }
 
@@ -522,37 +526,4 @@ func (res *Result) accumulate(ckt *circuit.Circuit, graphs []*rgraph.Graph) {
 		res.TotalLenUm += l
 	}
 	res.AreaMm2 = res.WidthUm * res.HeightUm / 1e6
-}
-
-// Algorithm selects the channel-routing algorithm.
-type Algorithm int
-
-const (
-	// LeftEdge is the constrained left-edge router with a global VCG
-	// pass and doglegs (the default).
-	LeftEdge Algorithm = iota
-	// Greedy is the column-scan greedy router (Rivest-Fiduccia flavor).
-	Greedy
-)
-
-// RouteWith is Route with an explicit algorithm choice.
-func RouteWith(ckt *circuit.Circuit, graphs []*rgraph.Graph, algo Algorithm) (*Result, error) {
-	chans, err := Extract(ckt, graphs)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Channels: chans,
-		NetLenUm: make([]float64, len(ckt.Nets)),
-	}
-	for ci := range res.Channels {
-		switch algo {
-		case Greedy:
-			SolveGreedy(&res.Channels[ci])
-		default:
-			Solve(&res.Channels[ci])
-		}
-	}
-	res.accumulate(ckt, graphs)
-	return res, nil
 }

@@ -43,8 +43,9 @@ func TestWorkersConfigIdenticalResult(t *testing.T) {
 }
 
 // TestConcurrentScoringStress runs several full routings concurrently, as
-// the service's job workers do, so the race detector sees routers sharing
-// the package-level tree pool from many angles.
+// the service's job workers do, so the race detector sees any state the
+// routers share (package-level variables, sample circuits) from many
+// angles.
 func TestConcurrentScoringStress(t *testing.T) {
 	const runs = 6
 	var wg sync.WaitGroup

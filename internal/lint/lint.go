@@ -8,7 +8,7 @@
 // with go/types against the toolchain's export data — so the module keeps
 // zero external requirements.
 //
-// Eight analyzers are registered (see docs/LINT.md for the full contract
+// Seven analyzers are registered (see docs/LINT.md for the full contract
 // each one guards):
 //
 //   - maporder: `range` over a map in a deterministic package
@@ -21,8 +21,6 @@
 //   - scratch-escape: a bgr:owned scratch slice or view escaping its
 //     owner (returned, stored elsewhere, captured by a goroutine, or
 //     appended so the backing array can reallocate)
-//   - poolpair: sync.Pool.Get without a paired Put on every return
-//     path, or a pooled object leaving the function without a reset
 //   - hotalloc: a heap-allocation site (per the compiler's own escape
 //     analysis) reachable from a bgr:hot entry point and absent from
 //     the reasoned allowlist
@@ -158,7 +156,6 @@ func Analyzers() []*Analyzer {
 		analyzerEpochs,
 		analyzerLocks,
 		analyzerScratchEscape,
-		analyzerPoolPair,
 		analyzerHotAlloc,
 	}
 }

@@ -3,7 +3,6 @@ package rgraph
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/circuit"
 )
@@ -20,26 +19,6 @@ type Tree struct {
 	// SinkDist[i] is the shortest-path length (µm) from the driver to
 	// terminal i (SinkDist[0] == 0 for the driver itself).
 	SinkDist []float64
-}
-
-// treePool recycles Tree objects (and their slice storage) so callers that
-// do not hold a previous tree to reuse still avoid a fresh allocation per
-// tentative-tree computation.
-var treePool = sync.Pool{New: func() any { return new(Tree) }}
-
-// GetTree returns a Tree from the package pool. Its slices keep whatever
-// capacity they had when released; the tentative-tree writers reslice and
-// overwrite them fully.
-//
-//bgr:allow poolpair -- ownership transfers to the caller; PutTree is the paired release and the tree is fully overwritten before reads
-func GetTree() *Tree { return treePool.Get().(*Tree) }
-
-// PutTree releases a Tree back to the pool. The caller must not retain any
-// reference to the tree or its slices afterwards.
-func PutTree(t *Tree) {
-	if t != nil {
-		treePool.Put(t)
-	}
 }
 
 // pqItem is one binary-heap entry of the Dijkstra priority queue.
@@ -256,10 +235,10 @@ func (w *dijkstraWS) edgeMarked(e int32) bool { return w.edgeStamp[e] == w.edgeG
 func (w *dijkstraWS) markEdge(e int32)        { w.edgeStamp[e] = w.edgeGen }
 
 // Tentative computes the tentative tree with Dijkstra's shortest-path
-// algorithm from the driving terminal (paper §3.2). The returned tree
-// comes from the package pool; callers done with it may PutTree it back.
+// algorithm from the driving terminal (paper §3.2). The returned tree is
+// freshly allocated.
 func (g *Graph) Tentative() (*Tree, error) {
-	return g.tentativeCostInto(-1, nil, GetTree())
+	return g.tentativeCostInto(-1, nil, nil)
 }
 
 // TentativeInto is Tentative reusing a previous tree's storage (prev may
@@ -372,7 +351,7 @@ func (g *Graph) tentativeCostInto(skip int, cost func(e int) float64, prev *Tree
 	w := &g.ws
 	t := prev
 	if t == nil {
-		t = GetTree()
+		t = new(Tree)
 	}
 	if cap(t.InTree) >= len(g.Edges) {
 		t.InTree = t.InTree[:len(g.Edges)]
@@ -411,28 +390,12 @@ func (g *Graph) tentativeCostInto(skip int, cost func(e int) float64, prev *Tree
 
 // FinalTree returns the alive graph as a Tree once routing has finished
 // (IsTree). Unlike Tentative it includes every alive edge; for a finished
-// net the two coincide up to pruned stubs. The tree comes from the package
-// pool; callers done with it may PutTree it back.
+// net the two coincide up to pruned stubs. The tree is freshly allocated.
 func (g *Graph) FinalTree() *Tree {
-	t := GetTree()
-	if cap(t.InTree) >= len(g.Edges) {
-		t.InTree = t.InTree[:len(g.Edges)]
-		for i := range t.InTree {
-			t.InTree[i] = false
-		}
-	} else {
-		t.InTree = make([]bool, len(g.Edges))
+	t := &Tree{
+		InTree:   make([]bool, len(g.Edges)),
+		SinkDist: make([]float64, len(g.TermVert)),
 	}
-	if cap(t.SinkDist) >= len(g.TermVert) {
-		t.SinkDist = t.SinkDist[:len(g.TermVert)]
-		for i := range t.SinkDist {
-			t.SinkDist[i] = 0
-		}
-	} else {
-		t.SinkDist = make([]float64, len(g.TermVert))
-	}
-	t.Edges = t.Edges[:0]
-	t.Length = 0
 	for i := range g.Edges {
 		if g.Edges[i].Alive {
 			t.InTree[i] = true

@@ -106,6 +106,7 @@ func TestConfigBounds(t *testing.T) {
 		"workers":  {Workers: -1},
 		"alpha":    {Alpha: 2},
 		"target":   {TargetTracks: 3},
+		"greedy":   {GreedyChannels: true},
 	} {
 		cfg := jc
 		if _, err := svc.Submit(SubmitRequest{Circuit: cktText, Config: &cfg}); err == nil {
@@ -124,6 +125,7 @@ func TestConfigBounds(t *testing.T) {
 		"neg-passes":  `{"max_passes":-3}`,
 		"neg-rperum":  `{"r_per_um":-0.5}`,
 		"alpha":       `{"alpha":2}`,
+		"greedy":      `{"greedy_channels":true}`,
 	} {
 		body := `{"circuit":` + mustJSONString(cktText) + `,"config":` + cfg + `}`
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))

@@ -117,7 +117,6 @@ type Job struct {
 	eng     engine.Engine
 	engName string
 	cfg     engine.Config
-	greedy  bool
 	timeout time.Duration
 
 	mu       sync.Mutex

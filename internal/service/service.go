@@ -174,11 +174,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// JobConfig is the client-facing subset of the shared engine config
-// (plus the channel router choice). Its canonical JSON form is part of
-// the cache key; every field added since v1 is omitempty so default
-// submissions hash identically across versions and old journals keep
-// re-warming the cache.
+// JobConfig is the client-facing subset of the shared engine config.
+// Its canonical JSON form is part of the cache key; every field added
+// since v1 is omitempty so default submissions hash identically across
+// versions and old journals keep re-warming the cache.
 type JobConfig struct {
 	// Engine names the routing engine ("" = the default "concurrent";
 	// bgr-serve also registers "sequential" and "steiner", two names for
@@ -193,7 +192,6 @@ type JobConfig struct {
 	MaxPasses       int     `json:"max_passes,omitempty"`
 	Order           string  `json:"order,omitempty"` // "", "slack", "index", "hpwl", "fanout"
 	NoFeedReroute   bool    `json:"no_feed_reroute,omitempty"`
-	GreedyChannels  bool    `json:"greedy_channels,omitempty"`
 	// Workers and Shards are deprecated and ignored: the per-run scoring
 	// worker count and the selection shard count they used to set no
 	// longer exist. They are still decoded so that old clients'
@@ -212,6 +210,11 @@ type JobConfig struct {
 	// it asked for a routing the server no longer produces.
 	Alpha        float64 `json:"alpha,omitempty"`
 	TargetTracks int     `json:"target_tracks,omitempty"`
+	// GreedyChannels used to select a second channel router, which is
+	// gone; every job is channel-routed by chanroute.Route. It is decoded
+	// on the same terms as Alpha: false is accepted and hashes like a
+	// submission without it, true is a bad config.
+	GreedyChannels bool `json:"greedy_channels,omitempty"`
 }
 
 // DefaultJobConfig is used when a submission omits "config".
@@ -236,6 +239,9 @@ func (jc JobConfig) validate() error {
 	}
 	if jc.TargetTracks != 0 {
 		return fmt.Errorf("target_tracks %d: the field can no longer be set; send 0 or leave it out", jc.TargetTracks)
+	}
+	if jc.GreedyChannels {
+		return errors.New("greedy_channels: the field can no longer be set; send false or leave it out")
 	}
 	return nil
 }
@@ -536,7 +542,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 	}
 	if e, ok := s.cache.get(hash); ok {
 		s.metrics.cacheHits.Add(1)
-		j := s.newJobLocked(ckt, eng, cfg, jc.GreedyChannels, timeout, hash)
+		j := s.newJobLocked(ckt, eng, cfg, timeout, hash)
 		j.state = Done
 		j.cached = true
 		j.payload = e.payload
@@ -546,7 +552,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 		return SubmitResult{Job: j, Cached: true}, nil
 	}
 	s.metrics.cacheMiss.Add(1)
-	j := s.newJobLocked(ckt, eng, cfg, jc.GreedyChannels, timeout, hash)
+	j := s.newJobLocked(ckt, eng, cfg, timeout, hash)
 	select {
 	case s.queue <- j:
 	default:
@@ -561,7 +567,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 }
 
 // newJobLocked allocates and registers a job; s.mu must be held.
-func (s *Server) newJobLocked(ckt *circuit.Circuit, eng engine.Engine, cfg engine.Config, greedy bool, timeout time.Duration, hash string) *Job {
+func (s *Server) newJobLocked(ckt *circuit.Circuit, eng engine.Engine, cfg engine.Config, timeout time.Duration, hash string) *Job {
 	s.seq++
 	j := &Job{
 		ID:      fmt.Sprintf("j%04d-%s", s.seq, hash[:8]),
@@ -571,7 +577,6 @@ func (s *Server) newJobLocked(ckt *circuit.Circuit, eng engine.Engine, cfg engin
 		eng:     eng,
 		engName: eng.Name(),
 		cfg:     cfg,
-		greedy:  greedy,
 		timeout: timeout,
 		state:   Queued,
 		done:    make(chan struct{}),
@@ -767,7 +772,7 @@ func (s *Server) routeJob(ctx context.Context, j *Job) (payload *Payload, phases
 	if err := faultinject.Fire(faultinject.ServicePayload, j.ckt.Name); err != nil {
 		return nil, nil, err
 	}
-	payload, err = buildPayload(res, j.greedy)
+	payload, err = buildPayload(res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -803,12 +808,8 @@ func (s *Server) finishJob(j *Job, err error) {
 // buildPayload renders every response form from a finished routing. The
 // timing text is the report plus the slack histogram over the
 // post-channel-routing lengths.
-func buildPayload(res *engine.Result, greedy bool) (*Payload, error) {
-	algo := chanroute.LeftEdge
-	if greedy {
-		algo = chanroute.Greedy
-	}
-	cr, err := chanroute.RouteWith(res.Ckt, res.Graphs, algo)
+func buildPayload(res *engine.Result) (*Payload, error) {
+	cr, err := chanroute.Route(res.Ckt, res.Graphs)
 	if err != nil {
 		return nil, err
 	}

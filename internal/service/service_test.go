@@ -370,9 +370,10 @@ func TestServiceBadRequests(t *testing.T) {
 }
 
 // TestDeprecatedShardsAccepted keeps old clients working: a config that
-// still carries the removed "shards" or "workers" fields, or the fixed
-// "alpha" and "target_tracks" at 0, is accepted and lands on the same
-// cache slot (same hash, same bytes) as the submission without them.
+// still carries the removed "shards" or "workers" fields, the fixed
+// "alpha" and "target_tracks" at 0, or "greedy_channels" at false, is
+// accepted and lands on the same cache slot (same hash, same bytes) as
+// the submission without them.
 func TestDeprecatedShardsAccepted(t *testing.T) {
 	ckt := readExample(t)
 	svc := New(Options{Workers: 1, Logf: silentLogf})
@@ -394,7 +395,7 @@ func TestDeprecatedShardsAccepted(t *testing.T) {
 	}
 	wantHash := hashOf(base.ID)
 
-	for _, extra := range []string{`"shards":4`, `"workers":4`, `"shards":2,"workers":4`, `"alpha":0,"target_tracks":0`} {
+	for _, extra := range []string{`"shards":4`, `"workers":4`, `"shards":2,"workers":4`, `"alpha":0,"target_tracks":0`, `"greedy_channels":false`} {
 		cfg := []byte(`{"use_constraints":true,` + extra + `}`)
 		rep := postJob(t, ts.URL, map[string]any{"circuit": ckt, "config": json.RawMessage(cfg)})
 		if !rep.Cached || hashOf(rep.ID) != wantHash {

@@ -9,27 +9,26 @@ import (
 	"repro/internal/gen"
 )
 
-func channelResult(t *testing.T, ckt *circuit.Circuit, algo chanroute.Algorithm) *chanroute.Result {
+func channelResult(t *testing.T, ckt *circuit.Circuit) *chanroute.Result {
 	t.Helper()
 	res, err := core.Route(ckt, core.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := chanroute.RouteWith(res.Ckt, res.Graphs, algo)
+	cr, err := chanroute.Route(res.Ckt, res.Graphs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cr
 }
 
+// TestChannelsCleanForBothAlgorithms: chanroute.Route's output on the
+// three samples breaks no channel rule and waives no constraint.
 func TestChannelsCleanForBothAlgorithms(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiff, circuit.SampleDiffCross} {
-		for _, algo := range []chanroute.Algorithm{chanroute.LeftEdge, chanroute.Greedy} {
-			cr := channelResult(t, build(), algo)
-			v := Channels(cr)
-			if !v.OK() {
-				t.Errorf("%v on %s: %v", algo, build().Name, v.Problems[0])
-			}
+		cr := channelResult(t, build())
+		if v := Channels(cr); !v.OK() {
+			t.Errorf("%s: %v", build().Name, v.Problems[0])
 		}
 	}
 }
@@ -43,20 +42,16 @@ func TestChannelsCleanOnDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []chanroute.Algorithm{chanroute.LeftEdge, chanroute.Greedy} {
-		cr := channelResult(t, ckt, algo)
-		v := Channels(cr)
-		// Waived-constraint notes are acceptable; hard rule breaks are not.
-		for _, pr := range v.Problems {
-			if pr.Rule != "chan-vcg-waived" {
-				t.Errorf("%v: %v", algo, pr)
-			}
+	// Waived-constraint notes are acceptable; hard rule breaks are not.
+	for _, pr := range Channels(channelResult(t, ckt)).Problems {
+		if pr.Rule != "chan-vcg-waived" {
+			t.Error(pr)
 		}
 	}
 }
 
 func TestChannelsDetectsOverlap(t *testing.T) {
-	cr := channelResult(t, circuit.SampleSmall(), chanroute.LeftEdge)
+	cr := channelResult(t, circuit.SampleSmall())
 	// Force two different-net proper segments onto the same track.
 	var a, b *chanroute.Segment
 	for ci := range cr.Channels {
@@ -93,7 +88,7 @@ func TestChannelsDetectsOverlap(t *testing.T) {
 }
 
 func TestChannelsDetectsBadTrack(t *testing.T) {
-	cr := channelResult(t, circuit.SampleSmall(), chanroute.LeftEdge)
+	cr := channelResult(t, circuit.SampleSmall())
 	for ci := range cr.Channels {
 		for _, s := range cr.Channels[ci].Segments {
 			if s.Lo < s.Hi {

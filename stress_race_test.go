@@ -1,9 +1,10 @@
-// Race and aliasing stress for the pooled-workspace routing engine. The
+// Race and aliasing stress for the reused-workspace routing engine. The
 // zero-allocation hot path leans on reused scratch buffers (per-router
-// workspaces, package-level tree pools), so the two failure modes worth a
-// dedicated regression are (1) concurrent routes racing on a shared pool
-// and (2) a later route mutating an earlier route's still-live result
-// through a leaked backing array. Run with -race to arm the first check.
+// and per-graph workspaces, recycled trees), so the two failure modes
+// worth a dedicated regression are (1) concurrent routes racing on state
+// they share, such as the input circuit, and (2) a later route mutating
+// an earlier route's still-live result through a leaked backing array.
+// Run with -race to arm the first check.
 package repro_test
 
 import (
@@ -36,10 +37,10 @@ func stressCircuit(t *testing.T) *circuit.Circuit {
 
 // TestConcurrentWorkerCountsIdentical routes the same circuit from four
 // goroutines at once and requires every run to produce byte-identical
-// routedb JSON. Concurrent routers share the package-level tree pool, so
-// under -race this doubles as the data-race detector for the pooled
-// scratch memory. The routes run concurrently; fingerprinting happens
-// after the join so no goroutine touches testing.T.
+// routedb JSON. Concurrent routers share the input circuit, so under
+// -race this doubles as the data-race detector for any write to shared
+// state. The routes run concurrently; fingerprinting happens after the
+// join so no goroutine touches testing.T.
 func TestConcurrentWorkerCountsIdentical(t *testing.T) {
 	ckt := stressCircuit(t)
 	const routes = 4
