@@ -9,7 +9,7 @@
 //	bgr-route -dataset C1P1 -unconstrained
 //	bgr-route -dataset C1P1 -fig 4 -channel 2
 //	bgr-route -i design.ckt -fig 3 -net n0042
-//	bgr-route -i design.ckt -elmore -r 0.0005 -trace
+//	bgr-route -i design.ckt -elmore -r 0.0005 -phases
 //	bgr-route -i design.ckt -engine sequential
 //
 // -engine selects the routing engine: "concurrent" (the paper's router,
@@ -36,6 +36,7 @@ import (
 	"repro/internal/lowerbound"
 	"repro/internal/render"
 	"repro/internal/report"
+	"repro/internal/rgraph"
 	"repro/internal/routedb"
 	"repro/internal/verify"
 
@@ -53,7 +54,6 @@ func main() {
 		uncon   = flag.Bool("unconstrained", false, "ignore timing constraints (area-only baseline)")
 		elmore  = flag.Bool("elmore", false, "use the Elmore RC delay model extension")
 		rPerUm  = flag.Float64("r", 0.0005, "wire resistance for -elmore, kΩ/µm")
-		trace   = flag.Bool("trace", false, "print the Fig. 2 phase trace")
 		fig     = flag.Int("fig", 0, "dump a paper figure: 1 (delay graph), 3 (routing graph), 4 (density chart)")
 		netName = flag.String("net", "", "net name for -fig 3 (default: first net)")
 		channel = flag.Int("channel", -1, "channel for -fig 4 (default: most congested)")
@@ -64,7 +64,7 @@ func main() {
 		svgOut  = flag.String("svg", "", "write an SVG drawing of the routed chip to this file")
 		dbOut   = flag.String("db", "", "write the routing database (JSON handoff) to this file")
 		congest = flag.Bool("congestion", false, "print the per-channel congestion table")
-		phases  = flag.Bool("phases", false, "print the per-phase wall-clock breakdown")
+		phases  = flag.Bool("phases", false, "print the per-phase breakdown (the Fig. 2 phases for the concurrent engine)")
 		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, or steiner (same router as sequential)")
 	)
 	flag.Parse()
@@ -77,9 +77,6 @@ func main() {
 	if *elmore {
 		cfg.DelayModel = engine.Elmore
 		cfg.RPerUm = *rPerUm
-	}
-	if *trace {
-		cfg.Trace = os.Stderr
 	}
 	if *fig == 1 {
 		s, err := report.Fig1DelayGraph(ckt, nil)
@@ -217,12 +214,14 @@ func main() {
 	fmt.Printf("route time   %v\n", res.Duration.Round(time.Microsecond))
 	if *phases {
 		fmt.Println()
-		fmt.Println("phase                    deletions  reroutes  accepted      time    select    scored    reused    timing      cons")
+		fmt.Println("phase               deletions  corr branch trunk  feed  reroutes  accepted      time    select  calls    scored    reused    timing flushes      cons")
 		for _, ps := range res.Phases {
-			fmt.Printf("%-24s %9d %9d %9d %9v %9v %9d %9d %9v %9d\n",
-				ps.Name, ps.Deletions, ps.Reroutes, ps.Accepted, ps.Duration.Round(time.Microsecond),
-				ps.SelectDuration.Round(time.Microsecond), ps.ScoredNets, ps.ReusedNets,
-				ps.TimingDuration.Round(time.Microsecond), ps.TimingCons)
+			fmt.Printf("%-19s %9d %5d %6d %5d %5d %9d %9d %9v %9v %6d %9d %9d %9v %7d %9d\n",
+				ps.Name, ps.Deletions, ps.ByKind[rgraph.ECorr], ps.ByKind[rgraph.EBranch],
+				ps.ByKind[rgraph.ETrunk], ps.ByKind[rgraph.EFeed], ps.Reroutes, ps.Accepted,
+				ps.Duration.Round(time.Microsecond), ps.SelectDuration.Round(time.Microsecond),
+				ps.SelectCalls, ps.ScoredNets, ps.ReusedNets,
+				ps.TimingDuration.Round(time.Microsecond), ps.TimingFlushes, ps.TimingCons)
 		}
 	}
 }

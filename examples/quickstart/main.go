@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
@@ -24,14 +23,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Global routing with the paper's timing-driven heuristics. Trace
-	// shows the Fig. 2 phases.
-	res, err := core.Route(ckt, core.Config{UseConstraints: true, Trace: os.Stderr})
+	// Global routing with the paper's timing-driven heuristics.
+	// res.Phases records the Fig. 2 phases.
+	res, err := core.Route(ckt, core.Config{UseConstraints: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	for _, ps := range res.Phases {
+		fmt.Printf("phase %-18s %3d deletions  %3d reroutes  %3d accepted\n",
+			ps.Name, ps.Deletions, ps.Reroutes, ps.Accepted)
+	}
 
-	fmt.Printf("routed %d nets; %d feed columns inserted\n", len(res.Graphs), res.AddedPitches)
+	fmt.Printf("\nrouted %d nets; %d feed columns inserted\n", len(res.Graphs), res.AddedPitches)
 	for n, g := range res.Graphs {
 		tree := g.FinalTree()
 		kinds := map[rgraph.EKind]int{}

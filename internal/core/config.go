@@ -56,12 +56,3 @@ const (
 	// OrderFanout assigns the highest-fanout nets first.
 	OrderFanout = engine.OrderFanout
 )
-
-// maxPasses resolves Config.MaxPasses: 0 means the default of 3 sweeps
-// per improvement phase.
-func maxPasses(cfg Config) int {
-	if cfg.MaxPasses <= 0 {
-		return 3
-	}
-	return cfg.MaxPasses
-}

@@ -13,6 +13,7 @@ import (
 // assignment or the initial concurrent routing. prev is left untouched;
 // the returned Result owns cloned graphs.
 //
+// The phases are Route's, run as eco-recover, eco-delay and eco-area.
 // cfg.SkipImprovement is ignored (re-optimization *is* the improvement);
 // the feedthrough assignment and chip widening are inherited from prev.
 func ReOptimize(prev *Result, cfg Config) (*Result, error) {
@@ -38,15 +39,7 @@ func ReOptimize(prev *Result, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if cfg.UseConstraints {
-		if err := r.runPhase("eco-recover", func(ps *PhaseStat) error { return r.recoverViolations(ps) }); err != nil {
-			return nil, err
-		}
-		if err := r.runPhase("eco-delay", func(ps *PhaseStat) error { return r.improveDelay(ps) }); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.runPhase("eco-area", func(ps *PhaseStat) error { return r.improveArea(ps) }); err != nil {
+	if err := r.improve(ecoPhases); err != nil {
 		return nil, err
 	}
 	return r.result()

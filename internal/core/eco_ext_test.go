@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -154,6 +155,41 @@ func TestReOptimizeAfterTightening(t *testing.T) {
 	if eco.Violations() > oldViol {
 		t.Fatalf("ECO added violations: %d vs %d", eco.Violations(), oldViol)
 	}
+}
+
+// TestReOptimizeAfterUnconstrainedRoute pins the ECO role of the delay
+// phases' plain reroute: on an unconstrained route of C2P1 the constraints
+// were never steered for, so re-routing critical nets on their existing
+// feedthroughs recovers a violation on its own. Every accepted move here
+// keeps the feedthroughs; a change that skips the plain reroute in
+// eco-recover and eco-delay accepts nothing and leaves all 7 violations.
+func TestReOptimizeAfterUnconstrainedRoute(t *testing.T) {
+	prev := routeDataset(t, "C2P1", core.Config{})
+	eco, err := core.ReOptimize(prev, core.Config{UseConstraints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := verify.Routing(eco); !v.OK() {
+		t.Fatalf("%v", v.Problems[0])
+	}
+	if eco.Violations() >= prev.Violations() {
+		t.Errorf("violations %d -> %d, want fewer", prev.Violations(), eco.Violations())
+	}
+	delayAccepted := 0
+	for _, ps := range eco.Phases {
+		if ps.Name == "eco-recover" || ps.Name == "eco-delay" {
+			delayAccepted += ps.Accepted
+		}
+	}
+	if delayAccepted == 0 {
+		t.Error("eco-recover and eco-delay accepted no move")
+	}
+	for n := range prev.Feeds {
+		if !slices.Equal(eco.Feeds[n], prev.Feeds[n]) {
+			t.Errorf("net %s: feedthroughs moved %v -> %v", prev.Ckt.Nets[n].Name, prev.Feeds[n], eco.Feeds[n])
+		}
+	}
+	t.Logf("violations %d -> %d, delay-phase accepts %d", prev.Violations(), eco.Violations(), delayAccepted)
 }
 
 func TestCloneGraphIndependence(t *testing.T) {

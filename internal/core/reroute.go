@@ -17,13 +17,9 @@ type objective struct {
 
 func (r *router) objective() objective {
 	o := objective{
-		penalty: r.penaltyTotal(),
-		tracks:  r.dens.TotalTracks(),
-	}
-	for p := range r.tm.Cons {
-		if r.tm.Cons[p].Margin < 0 {
-			o.violations++
-		}
+		violations: r.liveViolations(),
+		penalty:    r.penaltyTotal(),
+		tracks:     r.dens.TotalTracks(),
 	}
 	for _, l := range r.wl {
 		o.wirelen += l

@@ -85,7 +85,7 @@ type router struct {
 	rrNets   [2]int
 	delNets  [2]int // deleteEdge: nets being edited
 	delDirty [2]int // deleteEdge: nets whose tree changed
-	//bgr:owned -- violatedCons / improveDelay order
+	//bgr:owned -- criticalNets constraint order
 	consBuf []int
 	//bgr:owned -- applyNetDelay: Elmore wire delays
 	elmBuf []float64
@@ -95,8 +95,6 @@ type router struct {
 	chanGen  int32
 	//bgr:owned -- congestedNets scored list
 	congBuf []congScored
-	//bgr:owned -- congestedNets result backing, lent until the next call
-	congOut []int
 
 	// Reroute scratch (see reroute.go): the save/restore state of the
 	// in-flight attempt, and a free list of retired routing graphs whose
@@ -177,15 +175,7 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 		return nil, err
 	}
 	if !cfg.SkipImprovement {
-		if cfg.UseConstraints {
-			if err := r.runPhase("recover-violations", func(ps *PhaseStat) error { return r.recoverViolations(ps) }); err != nil {
-				return nil, err
-			}
-			if err := r.runPhase("improve-delay", func(ps *PhaseStat) error { return r.improveDelay(ps) }); err != nil {
-				return nil, err
-			}
-		}
-		if err := r.runPhase("improve-area", func(ps *PhaseStat) error { return r.improveArea(ps) }); err != nil {
+		if err := r.improve(routePhases); err != nil {
 			return nil, err
 		}
 	}
@@ -277,14 +267,6 @@ func (r *router) runPhase(name string, f func(*PhaseStat) error) error {
 	ps.TimingFlushes = r.timStat.flushes - timBefore.flushes
 	ps.TimingCons = r.timStat.cons - timBefore.cons
 	r.phases = append(r.phases, ps)
-	if r.cfg.Trace != nil {
-		fmt.Fprintf(r.cfg.Trace, "phase %-20s deletions=%-5d (corr=%d branch=%d trunk=%d feed=%d) reroutes=%-4d accepted=%-4d select=%v/%d scored=%d reused=%d timing=%v/%d cons=%d %v err=%v\n",
-			name, ps.Deletions, ps.ByKind[rgraph.ECorr], ps.ByKind[rgraph.EBranch],
-			ps.ByKind[rgraph.ETrunk], ps.ByKind[rgraph.EFeed],
-			ps.Reroutes, ps.Accepted, ps.SelectDuration.Round(time.Millisecond), ps.SelectCalls,
-			ps.ScoredNets, ps.ReusedNets, ps.TimingDuration.Round(time.Millisecond), ps.TimingFlushes,
-			ps.TimingCons, ps.Duration.Round(time.Millisecond), err)
-	}
 	if err == nil {
 		r.emit(Progress{Phase: name, Deletions: ps.Deletions, Reroutes: ps.Reroutes,
 			Accepted: ps.Accepted, Violations: r.liveViolations(), Done: true})
@@ -736,128 +718,102 @@ func pen(x, tau float64) float64 {
 	return math.Exp(-x / tau)
 }
 
-// recoverViolations (Fig. 2 line 08): while constraints are violated,
-// rip-up and reroute the nets on their critical paths, worst margin first.
-func (r *router) recoverViolations(ps *PhaseStat) error {
-	for pass := 0; pass < maxPasses(r.cfg); pass++ {
-		violated := r.violatedCons()
-		if len(violated) == 0 {
-			return nil
-		}
-		improvedAny := false
-		for _, p := range violated {
-			for _, n := range r.tm.CriticalNets(p) {
-				if err := r.check(); err != nil {
-					return err
-				}
-				improved, err := r.ripUpAndReroute(n, r.cfg.AreaFirst, r.acceptDelay)
-				if err != nil {
-					return err
-				}
-				ps.Reroutes++
-				if improved {
-					ps.Accepted++
-					improvedAny = true
-				}
-				r.emitPhase(ps)
-			}
-		}
-		if !improvedAny {
-			return nil
-		}
-	}
-	return nil
-}
+// The §3.5 phase names in Fig. 2 order (lines 08, 09, 10): RouteCtx runs
+// the phases as routePhases, ReOptimize as ecoPhases.
+var (
+	routePhases = [3]string{"recover-violations", "improve-delay", "improve-area"}
+	ecoPhases   = [3]string{"eco-recover", "eco-delay", "eco-area"}
+)
 
-// violatedCons lists the violated constraints, worst margin first. The
-// result aliases a router-owned buffer, valid until the next violatedCons
-// or improveDelay pass.
-func (r *router) violatedCons() []int {
-	out := r.consBuf[:0]
-	for p := range r.tm.Cons {
-		if r.tm.Cons[p].Margin < 0 {
-			out = append(out, p)
+// maxPasses bounds the passes of each improvement phase.
+const maxPasses = 3
+
+// improve runs the §3.5 improvement phases under the given names:
+// violation recovery and delay improvement when constraints are on, then
+// area improvement. Each is one sweep with its own visit order and
+// acceptance rule.
+func (r *router) improve(names [3]string) error {
+	if r.cfg.UseConstraints {
+		if err := r.runPhase(names[0], func(ps *PhaseStat) error {
+			return r.sweep(ps, r.criticalNets(true), r.cfg.AreaFirst, r.acceptDelay)
+		}); err != nil {
+			return err
+		}
+		if err := r.runPhase(names[1], func(ps *PhaseStat) error {
+			return r.sweep(ps, r.criticalNets(false), r.cfg.AreaFirst, r.acceptDelay)
+		}); err != nil {
+			return err
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return r.tm.Cons[out[a]].Margin < r.tm.Cons[out[b]].Margin
+	return r.runPhase(names[2], func(ps *PhaseStat) error {
+		return r.sweep(ps, r.congestedNets, true, r.acceptArea)
 	})
-	r.consBuf = out
-	//bgr:allow scratch-escape -- documented loan: violatedCons' result aliases consBuf until the next call; callers iterate it before re-entering the router
-	return out
 }
 
-// improveDelay (Fig. 2 line 09): consider every constraint in ascending
-// margin order and reroute its critical nets.
-func (r *router) improveDelay(ps *PhaseStat) error {
-	for pass := 0; pass < maxPasses(r.cfg); pass++ {
-		order := r.consBuf[:0]
-		for i := range r.tm.Cons {
-			order = append(order, i)
-		}
-		r.consBuf = order
-		sort.SliceStable(order, func(a, b int) bool {
-			return r.tm.Cons[order[a]].Margin < r.tm.Cons[order[b]].Margin
-		})
-		improvedAny := false
-		for _, p := range order {
-			for _, n := range r.tm.CriticalNets(p) {
-				if err := r.check(); err != nil {
-					return err
-				}
-				improved, err := r.ripUpAndReroute(n, r.cfg.AreaFirst, r.acceptDelay)
-				if err != nil {
-					return err
-				}
-				ps.Reroutes++
-				if improved {
-					ps.Accepted++
-					improvedAny = true
-				}
-				r.emitPhase(ps)
-			}
-		}
-		if !improvedAny {
-			return nil
-		}
-	}
-	return nil
-}
-
-// improveArea (Fig. 2 line 10): reroute nets running through the most
-// congested columns first, with the density criteria promoted (§3.5).
-func (r *router) improveArea(ps *PhaseStat) error {
-	for pass := 0; pass < maxPasses(r.cfg); pass++ {
-		nets := r.congestedNets()
-		improvedAny := false
-		for _, n := range nets {
+// sweep is the rip-up-and-reroute loop of every improvement phase: each
+// pass hands the nets visit yields, in its order, to ripUpAndReroute,
+// which keeps a reroute only if accept approves it. The phase ends after
+// maxPasses passes or after a pass that keeps nothing.
+func (r *router) sweep(ps *PhaseStat, visit func(each func(n int) error) error, areaOrder bool, accept func(before, after objective) bool) error {
+	for pass := 0; pass < maxPasses; pass++ {
+		kept := false
+		err := visit(func(n int) error {
 			if err := r.check(); err != nil {
 				return err
 			}
-			improved, err := r.ripUpAndReroute(n, true, r.acceptArea)
+			improved, err := r.ripUpAndReroute(n, areaOrder, accept)
 			if err != nil {
 				return err
 			}
 			ps.Reroutes++
 			if improved {
 				ps.Accepted++
-				improvedAny = true
+				kept = true
 			}
 			r.emitPhase(ps)
-		}
-		if !improvedAny {
 			return nil
+		})
+		if err != nil || !kept {
+			return err
 		}
 	}
 	return nil
 }
 
-// congestedNets returns the nets with trunk edges over the maximum-density
-// columns of the most congested channel, most congested first. Only nets
+// criticalNets is the visit order of the delay phases (Fig. 2 lines 08
+// and 09): the constraints in ascending margin order as the pass starts
+// (only the violated ones for recovery), and for each, its critical nets
+// as they stand when the walk reaches it.
+func (r *router) criticalNets(violatedOnly bool) func(each func(n int) error) error {
+	return func(each func(n int) error) error {
+		order := r.consBuf[:0]
+		for p := range r.tm.Cons {
+			if !violatedOnly || r.tm.Cons[p].Margin < 0 {
+				order = append(order, p)
+			}
+		}
+		r.consBuf = order
+		sort.SliceStable(order, func(a, b int) bool {
+			return r.tm.Cons[order[a]].Margin < r.tm.Cons[order[b]].Margin
+		})
+		for _, p := range order {
+			for _, n := range r.tm.CriticalNets(p) {
+				if err := each(n); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// congestedNets is the visit order of the area phase (Fig. 2 line 10):
+// the nets with trunk edges over the maximum-density columns of the most
+// congested channel as the pass starts, most congested first. Only nets
 // the trunkCnt index places in the channel are examined; a net covering a
-// max column necessarily has an alive trunk there, so the result is the
-// same as a full scan (stable sort over ascending net index).
-func (r *router) congestedNets() []int {
+// max column necessarily has an alive trunk there, so the order is the
+// same as a full scan's (stable sort over ascending net index).
+func (r *router) congestedNets(each func(n int) error) error {
 	ch, cm := r.dens.MaxCM()
 	if ch < 0 || cm == 0 {
 		return nil
@@ -887,11 +843,10 @@ func (r *router) congestedNets() []int {
 	}
 	r.congBuf = list
 	sort.SliceStable(list, func(a, b int) bool { return list[a].cover > list[b].cover })
-	out := r.congOut[:0]
 	for _, s := range list {
-		out = append(out, s.net)
+		if err := each(s.net); err != nil {
+			return err
+		}
 	}
-	r.congOut = out
-	//bgr:allow scratch-escape -- documented loan: congestedNets' result aliases congOut until the next call; the area phase consumes it before the next selection
-	return out
+	return nil
 }

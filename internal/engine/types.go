@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/circuit"
@@ -71,12 +70,10 @@ type Config struct {
 	// (concurrent engine only; ablation A1).
 	AreaFirst bool
 	// SkipImprovement disables the improvement phases, Fig. 2 lines
-	// 08-10 (concurrent engine only; ablation A5). The per-net engines
-	// have no improvement phase.
+	// 08-10 (concurrent engine only; ablation A5). Each phase makes at
+	// most three rip-up-and-reroute passes. The per-net engines have no
+	// improvement phase.
 	SkipImprovement bool
-	// MaxPasses bounds each improvement phase's sweeps; 0 means the
-	// default of 3 (concurrent engine only).
-	MaxPasses int
 
 	// Order picks the feedthrough-assignment net ordering (concurrent
 	// engine; the zero value is the paper's ascending static slack, which
@@ -93,9 +90,6 @@ type Config struct {
 	//
 	// Deprecated: ignored; kept so existing callers still compile.
 	Workers int
-
-	// Trace, when non-nil, receives a phase-by-phase log.
-	Trace io.Writer
 
 	// Progress, when non-nil, receives Progress snapshots (every
 	// engine): one at each phase start, one per step (edge deletion,

@@ -16,11 +16,10 @@
 //   - clockuse: time.Now/time.Since/math-rand in a deterministic package
 //   - epochs:   epoch/version cache fields and the selection engine's
 //     dirty-net bitset written outside their owning methods
-//   - locks:    sync.Mutex/RWMutex copied by value, or Lock without a
-//     paired unlock on every return path
+//   - locks:    Lock without a paired unlock on every return path
 //   - scratch-escape: a bgr:owned scratch slice or view escaping its
-//     owner (returned, stored elsewhere, captured by a goroutine, or
-//     appended so the backing array can reallocate)
+//     owner (returned, stored elsewhere, or appended so the backing
+//     array can reallocate)
 //   - hotalloc: a heap-allocation site (per the compiler's own escape
 //     analysis) reachable from a bgr:hot entry point and absent from
 //     the reasoned allowlist

@@ -5,18 +5,13 @@ import (
 	"go/types"
 )
 
-// analyzerLocks applies two simple lock-hygiene heuristics everywhere in
-// the module (the service layer holds real mutexes; determinism is not
-// the concern here, deadlocks and torn state are):
-//
-//  1. a sync.Mutex or sync.RWMutex copied by value — as a parameter,
-//     result, or plain assignment from an existing variable — guards
-//     nothing (go vet's copylocks catches deeper cases; this is the
-//     direct form);
-//  2. a Lock()/RLock() call with no paired release: neither a matching
-//     defer Unlock/RUnlock later in the same block, nor a matching
-//     explicit Unlock later in the same block with no return statement
-//     between the two.
+// analyzerLocks applies one lock-hygiene heuristic everywhere in the
+// module (the service layer holds real mutexes; determinism is not the
+// concern here, deadlocks and torn state are): a Lock()/RLock() call
+// with no paired release — neither a matching defer Unlock/RUnlock later
+// in the same block, nor a matching explicit Unlock later in the same
+// block with no return statement between the two. A mutex copied by
+// value is go vet's copylocks check, which CI runs.
 //
 // The pairing check is deliberately shallow — it inspects one block at a
 // time and only flags patterns that are locally provably unpaired or
@@ -24,82 +19,19 @@ import (
 // //bgr:allow locks directive with the invariant spelled out.
 var analyzerLocks = &Analyzer{
 	Name: "locks",
-	Doc:  "flags mutexes copied by value and Lock calls without a paired release",
+	Doc:  "flags Lock calls without a paired release",
 	Run: func(pkg *Package) []Diagnostic {
 		var out []Diagnostic
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					out = append(out, checkSigCopies(pkg, n)...)
-				case *ast.AssignStmt:
-					out = append(out, checkAssignCopies(pkg, n)...)
-				case *ast.BlockStmt:
-					out = append(out, checkLockPairing(pkg, n)...)
+				if blk, ok := n.(*ast.BlockStmt); ok {
+					out = append(out, checkLockPairing(pkg, blk)...)
 				}
 				return true
 			})
 		}
 		return out
 	},
-}
-
-// mutexName returns "Mutex" or "RWMutex" when t is the sync value type.
-func mutexName(t types.Type) (string, bool) {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return "", false
-	}
-	if n := obj.Name(); n == "Mutex" || n == "RWMutex" {
-		return n, true
-	}
-	return "", false
-}
-
-func checkSigCopies(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
-	var out []Diagnostic
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pkg.Info.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if name, ok := mutexName(t); ok {
-				out = append(out, pkg.diag(field.Type.Pos(), "locks",
-					"sync.%s %s by value in %s: the copy guards nothing; use *sync.%s", name, what, fd.Name.Name, name))
-			}
-		}
-	}
-	check(fd.Recv, "receiver")
-	check(fd.Type.Params, "passed")
-	check(fd.Type.Results, "returned")
-	return out
-}
-
-func checkAssignCopies(pkg *Package, st *ast.AssignStmt) []Diagnostic {
-	var out []Diagnostic
-	for _, rhs := range st.Rhs {
-		switch rhs.(type) {
-		case *ast.CompositeLit, *ast.CallExpr:
-			continue // fresh value, nothing copied
-		}
-		t := pkg.Info.TypeOf(rhs)
-		if t == nil {
-			continue
-		}
-		if name, ok := mutexName(t); ok {
-			out = append(out, pkg.diag(rhs.Pos(), "locks",
-				"sync.%s copied by value: lock state is duplicated, not shared; copy a pointer instead", name))
-		}
-	}
-	return out
 }
 
 // lockCall matches a top-level `recv.Lock()` / `recv.RLock()` statement on

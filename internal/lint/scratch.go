@@ -18,11 +18,12 @@ import (
 //     next reuse silently clobbers;
 //  2. storing one into a field of a different struct type than the
 //     owner — ownership transfer without a copy;
-//  3. referencing one inside a go-launched closure — a second goroutine
-//     breaks the single-owner contract outright;
-//  4. appending to one with the result bound to anything but the same
+//  3. appending to one with the result bound to anything but the same
 //     storage — if append reallocates, the new array silently unaliases
 //     every existing view.
+//
+// The analyzer runs only in the deterministic packages, which start no
+// goroutines, so a second owner cannot arise there.
 //
 // The dataflow is intra-function and statement-ordered: locals assigned
 // from owned expressions are tainted with the owner type, reassignment
@@ -129,8 +130,8 @@ func ownerName(n *types.Named) string {
 }
 
 // block walks a statement list in order, updating taint and reporting
-// escapes. Nested control-flow blocks recurse; closures not launched
-// with `go` share the goroutine and are walked like inline statements.
+// escapes. Nested control-flow blocks recurse; closure bodies are not
+// walked.
 func (sc *scratchChecker) block(b *ast.BlockStmt) {
 	for _, st := range b.List {
 		sc.stmt(st)
@@ -155,8 +156,6 @@ func (sc *scratchChecker) stmt(st ast.Stmt) {
 				sc.diag(r.Pos(), "owned scratch %q of %s returned from %s: the caller would alias a backing array the next reuse clobbers; copy into a caller-provided buffer, or document the loan with a //bgr:allow", name, ownerName(owner), sc.fn)
 			}
 		}
-	case *ast.GoStmt:
-		sc.goCapture(s)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -326,25 +325,4 @@ func appendCall(e ast.Expr) *ast.CallExpr {
 		return nil
 	}
 	return call
-}
-
-// goCapture flags any owned or tainted slice referenced by a go
-// statement — via a closure body or passed directly as an argument.
-// The scan is shallow by design: it catches direct mentions, not
-// reachability through captured receivers.
-func (sc *scratchChecker) goCapture(g *ast.GoStmt) {
-	ast.Inspect(g.Call, func(n ast.Node) bool {
-		e, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		switch e.(type) {
-		case *ast.SelectorExpr, *ast.Ident:
-			if owner, name, ok := sc.source(e); ok {
-				sc.diag(e.Pos(), "owned scratch %q of %s referenced by a goroutine in %s: a second goroutine breaks the single-owner contract; hand over a copy instead", name, ownerName(owner), sc.fn)
-				return false
-			}
-		}
-		return true
-	})
 }

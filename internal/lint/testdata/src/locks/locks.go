@@ -9,16 +9,6 @@ type box struct {
 	val int
 }
 
-func byValue(mu sync.Mutex) { // want "sync\.Mutex passed by value"
-	mu.Lock()
-	defer mu.Unlock()
-}
-
-func copied(b *box) {
-	mu := b.mu // want "sync\.Mutex copied by value"
-	_ = &mu
-}
-
 func unpaired(b *box) int {
 	b.mu.Lock() // want "b\.mu\.Lock\(\) without a paired Unlock"
 	if b.val > 0 {

@@ -67,13 +67,6 @@ func (w *ws) keep(a, b int) {
 	w.rows = w.rows[a:b]
 }
 
-func (w *ws) spawn(done chan struct{}) {
-	go func() {
-		_ = w.dist[0] // want "owned scratch .dist. of ws referenced by a goroutine in spawn"
-		close(done)
-	}()
-}
-
 func (w *ws) rebind() []int32 {
 	grown := append(w.rows, 7) // want "append to owned scratch .rows. of ws rebound to grown"
 	return grown

@@ -50,7 +50,7 @@ func FuzzSubmit(f *testing.F) {
 	}
 	withCfg, err := json.Marshal(SubmitRequest{
 		Circuit: ckt.String(),
-		Config:  &JobConfig{UseConstraints: true, DelayModel: "elmore", RPerUm: 0.0005, MaxPasses: 1},
+		Config:  &JobConfig{UseConstraints: true, DelayModel: "elmore", RPerUm: 0.0005},
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -103,6 +103,7 @@ func TestConfigBounds(t *testing.T) {
 		"inf":      {RPerUm: math.Inf(1)},
 		"negative": {RPerUm: -1},
 		"passes":   {MaxPasses: -2},
+		"passes-3": {MaxPasses: 3},
 		"workers":  {Workers: -1},
 		"alpha":    {Alpha: 2},
 		"target":   {TargetTracks: 3},
@@ -123,6 +124,7 @@ func TestConfigBounds(t *testing.T) {
 	for name, cfg := range map[string]string{
 		"neg-workers": `{"workers":-1}`,
 		"neg-passes":  `{"max_passes":-3}`,
+		"passes":      `{"max_passes":3}`,
 		"neg-rperum":  `{"r_per_um":-0.5}`,
 		"alpha":       `{"alpha":2}`,
 		"greedy":      `{"greedy_channels":true}`,

@@ -189,7 +189,6 @@ type JobConfig struct {
 	RPerUm          float64 `json:"r_per_um,omitempty"`
 	AreaFirst       bool    `json:"area_first,omitempty"`
 	SkipImprovement bool    `json:"skip_improvement,omitempty"`
-	MaxPasses       int     `json:"max_passes,omitempty"`
 	Order           string  `json:"order,omitempty"` // "", "slack", "index", "hpwl", "fanout"
 	NoFeedReroute   bool    `json:"no_feed_reroute,omitempty"`
 	// Workers and Shards are deprecated and ignored: the per-run scoring
@@ -203,13 +202,15 @@ type JobConfig struct {
 	Workers int `json:"workers,omitempty"`
 	Shards  int `json:"shards,omitempty"`
 	// Alpha and TargetTracks used to tune the per-net engines'
-	// congestion penalty and density target, which are now fixed. They
-	// are still decoded so that a submission sending them as 0 (the
-	// sample config in docs/SERVICE.md does) is accepted and hashes
-	// like one without them; any other value is a bad config, because
-	// it asked for a routing the server no longer produces.
+	// congestion penalty and density target, and MaxPasses the
+	// concurrent engine's passes per improvement phase; all three are
+	// now fixed. They are still decoded so that a submission sending
+	// them as 0 (the sample config in docs/SERVICE.md does) is accepted
+	// and hashes like one without them; any other value is a bad config,
+	// because it asked for a routing the server no longer produces.
 	Alpha        float64 `json:"alpha,omitempty"`
 	TargetTracks int     `json:"target_tracks,omitempty"`
+	MaxPasses    int     `json:"max_passes,omitempty"`
 	// GreedyChannels used to select a second channel router, which is
 	// gone; every job is channel-routed by chanroute.Route. It is decoded
 	// on the same terms as Alpha: false is accepted and hashes like a
@@ -228,9 +229,6 @@ func (jc JobConfig) validate() error {
 	if math.IsNaN(jc.RPerUm) || math.IsInf(jc.RPerUm, 0) || jc.RPerUm < 0 {
 		return fmt.Errorf("r_per_um %v must be a finite non-negative number", jc.RPerUm)
 	}
-	if jc.MaxPasses < 0 {
-		return fmt.Errorf("max_passes %d must not be negative", jc.MaxPasses)
-	}
 	if jc.Workers < 0 {
 		return fmt.Errorf("workers %d must not be negative", jc.Workers)
 	}
@@ -239,6 +237,9 @@ func (jc JobConfig) validate() error {
 	}
 	if jc.TargetTracks != 0 {
 		return fmt.Errorf("target_tracks %d: the field can no longer be set; send 0 or leave it out", jc.TargetTracks)
+	}
+	if jc.MaxPasses != 0 {
+		return fmt.Errorf("max_passes %d: the field can no longer be set; send 0 or leave it out", jc.MaxPasses)
 	}
 	if jc.GreedyChannels {
 		return errors.New("greedy_channels: the field can no longer be set; send false or leave it out")
@@ -254,7 +255,6 @@ func (jc JobConfig) toEngine() (engine.Config, error) {
 		RPerUm:          jc.RPerUm,
 		AreaFirst:       jc.AreaFirst,
 		SkipImprovement: jc.SkipImprovement,
-		MaxPasses:       jc.MaxPasses,
 		NoFeedReroute:   jc.NoFeedReroute,
 	}
 	switch jc.DelayModel {
