@@ -6,7 +6,6 @@
 package repro_test
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/chanroute"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/lowerbound"
 	"repro/internal/report"
 	"repro/internal/rgraph"
-	"repro/internal/seqroute"
 )
 
 func mustDataset(b *testing.B, name string) *circuit.Circuit {
@@ -66,7 +64,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.Run(name+"/"+mode.tag, func(b *testing.B) {
 				var last experiment.Run
 				for i := 0; i < b.N; i++ {
-					run, err := experiment.RunCircuit(ckt, core.Config{UseConstraints: mode.use})
+					run, err := experiment.RunCircuit(ckt, engine.DefaultName, core.Config{UseConstraints: mode.use})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -172,7 +170,7 @@ func ablationRun(b *testing.B, cfg core.Config) {
 	b.ResetTimer()
 	var last experiment.Run
 	for i := 0; i < b.N; i++ {
-		run, err := experiment.RunCircuit(ckt, cfg)
+		run, err := experiment.RunCircuit(ckt, engine.DefaultName, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,41 +397,23 @@ func BenchmarkGeometryBuild(b *testing.B) {
 
 // BenchmarkBaselineSequential compares the paper's concurrent edge
 // deletion against the net-at-a-time sequential baseline (the router
-// class the paper argues against).
+// class the paper argues against), one sub-benchmark per engine.
 func BenchmarkBaselineSequential(b *testing.B) {
 	ckt := mustDataset(b, "C1P1")
-	b.Run("concurrent", func(b *testing.B) {
-		var last experiment.Run
-		for i := 0; i < b.N; i++ {
-			run, err := experiment.RunCircuit(ckt, core.Config{UseConstraints: true})
-			if err != nil {
-				b.Fatal(err)
+	for _, eng := range engine.Names() {
+		b.Run(eng, func(b *testing.B) {
+			var last experiment.Run
+			for i := 0; i < b.N; i++ {
+				run, err := experiment.RunCircuit(ckt, eng, engine.Config{UseConstraints: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = run
 			}
-			last = run
-		}
-		b.ReportMetric(last.DelayPs, "delay_ps")
-		b.ReportMetric(float64(last.Tracks), "tracks")
-	})
-	b.Run("sequential", func(b *testing.B) {
-		var delay float64
-		var res *engine.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = seqroute.Route(context.Background(), ckt, engine.Config{UseConstraints: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cr, err := chanroute.Route(res.Ckt, res.Graphs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if delay, _, err = experiment.FinalDelay(res.Ckt, cr.NetLenUm); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(delay, "delay_ps")
-		b.ReportMetric(float64(res.Dens.TotalTracks()), "tracks")
-	})
+			b.ReportMetric(last.DelayPs, "delay_ps")
+			b.ReportMetric(float64(last.Tracks), "tracks")
+		})
+	}
 }
 
 // BenchmarkStressScale routes the ~2000-cell stress circuit end to end.
@@ -444,7 +424,7 @@ func BenchmarkStressScale(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunCircuit(ckt, core.Config{UseConstraints: true}); err != nil {
+		if _, err := experiment.RunCircuit(ckt, engine.DefaultName, core.Config{UseConstraints: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,22 +12,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"repro/internal/chanroute"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/gen"
 	"repro/internal/lowerbound"
-
-	_ "repro/internal/seqroute"
-	_ "repro/internal/steiner"
 )
 
 type variant struct {
@@ -82,7 +75,7 @@ func ablations(dataset string) error {
 	for _, v := range variants {
 		cfg := v.cfg
 		cfg.UseConstraints = v.name != "unconstrained"
-		run, err := experiment.RunCircuit(ckt, cfg)
+		run, err := experiment.RunCircuit(ckt, engine.DefaultName, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -94,10 +87,10 @@ func ablations(dataset string) error {
 
 // engineTable routes the full benchmark suite with every registered
 // engine and prints the quality-vs-runtime comparison. All engines run
-// the same constrained configuration; delay/area/violations are
-// measured after channel routing, so the numbers are comparable across
-// engines (and with the ablation table above). It closes with how many
-// of each data set's bounds lie below their lower-bound delay.
+// the same constrained configuration and both tables measure through
+// experiment.RunCircuit, so every column, cpu included, is comparable
+// across engines and with the ablation table above. It closes with how
+// many of each data set's bounds lie below their lower-bound delay.
 func engineTable() error {
 	fmt.Printf("engine comparison over the full benchmark suite (constrained)\n\n")
 	fmt.Printf("%-6s %-12s %10s %8s %10s %9s %6s %7s\n",
@@ -124,12 +117,12 @@ func engineTable() error {
 		}
 		floors = append(floors, fmt.Sprintf("  %-6s %d of %d", name, below, len(lbCons)))
 		for _, eng := range engine.Names() {
-			row, err := runEngine(eng, ckt)
+			run, err := experiment.RunCircuit(ckt, eng, engine.Config{UseConstraints: true})
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", name, eng, err)
 			}
 			fmt.Printf("%-6s %-12s %10.1f %+7.1f%% %10.3f %9.2f %6d %7.3f\n",
-				name, eng, row.delay, (row.delay-lb)/lb*100, row.area, row.wireMm, row.viol, row.cpu)
+				name, eng, run.DelayPs, (run.DelayPs-lb)/lb*100, run.AreaMm2, run.LengthMm, run.Violations, run.CPUSec)
 		}
 	}
 	fmt.Println("\nviol counts delay bounds violated after channel routing. Bounds below")
@@ -138,38 +131,6 @@ func engineTable() error {
 		fmt.Println(f)
 	}
 	return nil
-}
-
-type engineRow struct {
-	delay  float64
-	area   float64
-	wireMm float64
-	viol   int
-	cpu    float64
-}
-
-func runEngine(name string, ckt *circuit.Circuit) (engineRow, error) {
-	start := time.Now()
-	res, err := engine.Route(context.Background(), name, ckt, engine.Config{UseConstraints: true})
-	if err != nil {
-		return engineRow{}, err
-	}
-	cpu := time.Since(start).Seconds()
-	cr, err := chanroute.Route(res.Ckt, res.Graphs)
-	if err != nil {
-		return engineRow{}, err
-	}
-	delay, viol, err := experiment.FinalDelay(res.Ckt, cr.NetLenUm)
-	if err != nil {
-		return engineRow{}, err
-	}
-	return engineRow{
-		delay:  delay,
-		area:   cr.AreaMm2,
-		wireMm: cr.TotalLenUm / 1000,
-		viol:   viol,
-		cpu:    cpu,
-	}, nil
 }
 
 func fatal(err error) {

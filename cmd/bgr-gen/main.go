@@ -60,11 +60,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	if err := circuit.Format(w, ckt); err != nil {
 		fatal(err)
+	}
+	if *out != "" {
+		if err := w.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "bgr-gen: %s: %d cells, %d nets, %d constraints, %d rows x %d cols\n",
 		ckt.Name, len(ckt.Cells), len(ckt.Nets), len(ckt.Cons), ckt.Rows, ckt.Cols)

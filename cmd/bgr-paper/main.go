@@ -23,14 +23,13 @@ import (
 
 func main() {
 	var (
-		table    = flag.Int("table", 0, "print only table 1, 2 or 3 (default: everything)")
-		elmore   = flag.Bool("elmore", false, "run the whole evaluation under the Elmore RC extension")
-		rPerUm   = flag.Float64("r", 0.0005, "wire resistance for -elmore, kΩ/µm")
-		csvOut   = flag.String("csv", "", "also write machine-readable results to this file")
-		md       = flag.Bool("md", false, "print the tables as markdown (the EXPERIMENTS.md content)")
-		scaling  = flag.Bool("scaling", false, "print a runtime-scaling table instead of the paper tables")
-		baseline = flag.Bool("baseline", false, "append a sequential net-at-a-time baseline block")
-		robust   = flag.Int("robust", 0, "evaluate N fresh generator seeds and print the robustness statistics")
+		table   = flag.Int("table", 0, "print only table 1, 2 or 3 (default: everything)")
+		elmore  = flag.Bool("elmore", false, "run the whole evaluation under the Elmore RC extension")
+		rPerUm  = flag.Float64("r", 0.0005, "wire resistance for -elmore, kΩ/µm")
+		csvOut  = flag.String("csv", "", "also write machine-readable results to this file")
+		md      = flag.Bool("md", false, "print the tables as markdown (the EXPERIMENTS.md content)")
+		scaling = flag.Bool("scaling", false, "print a runtime-scaling table instead of the paper tables")
+		robust  = flag.Int("robust", 0, "evaluate N fresh generator seeds and print the robustness statistics")
 	)
 	flag.Parse()
 
@@ -76,7 +75,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bgr-paper:", err)
 			os.Exit(1)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "bgr-paper:", err)
+			os.Exit(1)
+		}
 	}
 	if *md {
 		fmt.Print(report.Markdown(rows))
@@ -97,29 +99,5 @@ func main() {
 		fmt.Print(report.Table3(rows))
 		fmt.Println()
 		fmt.Print(report.HeadlineText(experiment.Summarize(rows), len(rows)))
-	}
-	if *baseline {
-		fmt.Println()
-		fmt.Println("-- Sequential net-at-a-time baseline (refs [6-8]) --")
-		fmt.Printf("%-6s %10s %10s %10s %9s\n", "Data", "Delay(ps)", "Area(mm2)", "Len(mm)", "CPU(s)")
-		for _, name := range gen.DatasetNames() {
-			p, err := gen.Dataset(name)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-				os.Exit(1)
-			}
-			ckt, err := gen.Generate(p)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-				os.Exit(1)
-			}
-			run, err := experiment.RunBaseline(ckt)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%-6s %10.1f %10.3f %10.2f %9.3f\n",
-				name, run.DelayPs, run.AreaMm2, run.LengthMm, run.CPUSec)
-		}
 	}
 }

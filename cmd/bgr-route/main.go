@@ -27,9 +27,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/chanroute"
 	"repro/internal/circuit"
-	"repro/internal/dgraph"
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/gen"
@@ -129,10 +127,11 @@ func main() {
 	if *layout {
 		fmt.Print(render.Layout(res))
 	}
-	cr, err := chanroute.Route(res.Ckt, res.Graphs)
+	ev, err := experiment.Evaluate(res)
 	if err != nil {
 		fatal(err)
 	}
+	cr := ev.Channels
 	if *doCheck {
 		v := verify.Channels(cr)
 		hard := 0
@@ -167,24 +166,15 @@ func main() {
 		if err := routedb.Write(f, db); err != nil {
 			fatal(err)
 		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "bgr-route: wrote %s\n", *dbOut)
-	}
-	delay, viol, err := experiment.FinalDelay(res.Ckt, cr.NetLenUm)
-	if err != nil {
-		fatal(err)
-	}
-	if *timing {
-		dg, err := dgraph.New(res.Ckt)
-		if err != nil {
+		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		tm := dg.NewTiming()
-		tm.SetLumped(cr.NetLenUm)
-		tm.Analyze()
-		fmt.Print(report.TimingReport(res.Ckt, tm, *paths))
+		fmt.Fprintf(os.Stderr, "bgr-route: wrote %s\n", *dbOut)
+	}
+	if *timing {
+		fmt.Print(report.TimingReport(res.Ckt, ev.Timing, *paths))
 		fmt.Println()
-		fmt.Print(report.SlackHistogram(res.Ckt, tm, 8))
+		fmt.Print(report.SlackHistogram(res.Ckt, ev.Timing, 8))
 		fmt.Println()
 	}
 	if *congest {
@@ -202,11 +192,11 @@ func main() {
 	fmt.Printf("circuit      %s (%d cells, %d nets, %d constraints)\n",
 		ckt.Name, len(ckt.Cells), len(ckt.Nets), len(ckt.Cons))
 	fmt.Printf("mode         engine=%s constraints=%v model=%v\n", res.Engine, cfg.UseConstraints, modelName(cfg))
-	fmt.Printf("delay        %.1f ps (estimate %.1f ps, lower bound %.1f ps)\n", delay, res.Delay, lb)
+	fmt.Printf("delay        %.1f ps (estimate %.1f ps, lower bound %.1f ps)\n", ev.DelayPs, res.Delay, lb)
 	if lb > 0 {
-		fmt.Printf("vs bound     +%.1f%%\n", (delay-lb)/lb*100)
+		fmt.Printf("vs bound     +%.1f%%\n", (ev.DelayPs-lb)/lb*100)
 	}
-	fmt.Printf("violations   %d\n", viol)
+	fmt.Printf("violations   %d\n", ev.Violations)
 	fmt.Printf("area         %.3f mm² (%.0f µm x %.0f µm)\n", cr.AreaMm2, cr.WidthUm, cr.HeightUm)
 	fmt.Printf("wire length  %.2f mm\n", cr.TotalLenUm/1000)
 	fmt.Printf("feed cells   +%d columns inserted\n", res.AddedPitches)

@@ -1,13 +1,13 @@
 // Quickstart: route a small hand-built bipolar circuit end to end and
 // print what the router did — the shortest possible tour of the public
-// pipeline: circuit -> core.Route -> chanroute.Route -> final timing.
+// pipeline: circuit -> core.Route -> experiment.Evaluate (channel routing
+// and final timing).
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -45,17 +45,14 @@ func main() {
 			res.Ckt.Nets[n].Name, tree.Length, kinds[rgraph.ETrunk], kinds[rgraph.EFeed], kinds[rgraph.EBranch])
 	}
 
-	// Channel routing turns the trees into tracks, lengths and area.
-	cr, err := chanroute.Route(res.Ckt, res.Graphs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	delay, viol, err := experiment.FinalDelay(res.Ckt, cr.NetLenUm)
+	// Channel routing turns the trees into tracks, lengths and area; the
+	// final delays come from the channel-routed lengths.
+	ev, err := experiment.Evaluate(res)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfinal: delay %.1f ps, %d violations, area %.4f mm², wire %.1f µm\n",
-		delay, viol, cr.AreaMm2, cr.TotalLenUm)
+		ev.DelayPs, ev.Violations, ev.Channels.AreaMm2, ev.Channels.TotalLenUm)
 	for p := range res.Ckt.Cons {
 		fmt.Printf("constraint %s: limit %.1f ps, margin %.1f ps\n",
 			res.Ckt.Cons[p].Name, res.Ckt.Cons[p].Limit, res.Margin(p))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/circuit"
 )
@@ -58,40 +57,4 @@ func (p *Probe) DPrimeSweep() float64 {
 		}
 	}
 	return sum
-}
-
-// Stats reports the cumulative selection counters: sweeps run, per-net
-// scores recomputed, scores served from the incremental cache, and total
-// time inside SelectEdge.
-func (p *Probe) Stats() (calls, scored, reused int, dur time.Duration) {
-	s := p.r.selStat
-	return s.calls, s.scored, s.reused, s.dur
-}
-
-// TimingFlush marks the given nets' delays changed (re-deriving each
-// net's delay from its current tree) and flushes the dirty constraint
-// set, returning how many constraints were re-analyzed. It exercises the
-// incremental timing path exactly as refreshTrees does, without moving
-// the routing state.
-func (p *Probe) TimingFlush(nets []int) int {
-	r := p.r
-	for _, n := range nets {
-		r.applyNetDelay(n)
-	}
-	start := time.Now() //bgr:allow clockuse -- profiling only: feeds timStats, never steers routing
-	touched := r.tm.Flush()
-	r.timStat.dur += time.Since(start) //bgr:allow clockuse -- profiling only: feeds timStats, never steers routing
-	r.timStat.flushes++
-	r.timStat.cons += len(touched)
-	for _, c := range touched {
-		r.touchCons(c)
-	}
-	return len(touched)
-}
-
-// TimingStats reports the cumulative timing-flush counters: flushes run,
-// constraints re-analyzed across them, and total time inside Flush.
-func (p *Probe) TimingStats() (flushes, cons int, dur time.Duration) {
-	s := p.r.timStat
-	return s.flushes, s.cons, s.dur
 }

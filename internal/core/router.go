@@ -235,11 +235,7 @@ func (r *router) result() (*Result, error) {
 	for _, l := range r.wl {
 		res.TotalWirelenUm += l
 	}
-	for p := range r.tm.Cons {
-		if d := r.tm.Cons[p].Worst; d > res.Delay {
-			res.Delay = d
-		}
-	}
+	res.Delay, _ = r.tm.Worst()
 	return res, nil
 }
 
@@ -308,12 +304,7 @@ func (r *router) liveViolations() int {
 	if r.tm == nil {
 		return 0
 	}
-	v := 0
-	for p := range r.tm.Cons {
-		if r.tm.Cons[p].Margin < 0 {
-			v++
-		}
-	}
+	_, v := r.tm.Worst()
 	return v
 }
 

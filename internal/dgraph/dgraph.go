@@ -618,16 +618,19 @@ func (t *Timing) CriticalPath(p int) []int {
 	return rev
 }
 
-// WorstViolation returns the most-violated constraint index and its margin,
-// or (-1, 0) when every constraint is met.
-func (t *Timing) WorstViolation() (int, float64) {
-	worst, at := 0.0, -1
+// Worst returns the worst constrained-path delay over every constraint
+// (0 when there are none) and the number of violated constraints, those
+// with a negative margin.
+func (t *Timing) Worst() (delay float64, violations int) {
 	for p := range t.Cons {
-		if t.Cons[p].Margin < worst {
-			worst, at = t.Cons[p].Margin, p
+		if t.Cons[p].Worst > delay {
+			delay = t.Cons[p].Worst
+		}
+		if t.Cons[p].Margin < 0 {
+			violations++
 		}
 	}
-	return at, worst
+	return delay, violations
 }
 
 // NetSlacks runs the zero-interconnect analysis of §3.1 and returns, per

@@ -262,14 +262,14 @@ func TestSetNetArcDelays(t *testing.T) {
 	}
 }
 
-func TestWorstViolation(t *testing.T) {
+func TestWorst(t *testing.T) {
 	ckt := circuit.SampleSmall()
 	g := mustGraph(t, ckt)
 	tm := g.NewTiming()
 	tm.SetLumped(make([]float64, len(ckt.Nets)))
 	tm.Analyze()
-	if p, m := tm.WorstViolation(); p != -1 || m != 0 {
-		t.Fatalf("zero-wire run should meet the constraint, got p=%d m=%v", p, m)
+	if d, v := tm.Worst(); v != 0 || d != tm.Cons[0].Worst || d <= 0 {
+		t.Fatalf("zero-wire run should meet the constraint with P0's delay %v, got delay=%v violations=%d", tm.Cons[0].Worst, d, v)
 	}
 	wl := make([]float64, len(ckt.Nets))
 	for i := range wl {
@@ -277,7 +277,11 @@ func TestWorstViolation(t *testing.T) {
 	}
 	tm.SetLumped(wl)
 	tm.Analyze()
-	if p, m := tm.WorstViolation(); p != 0 || m >= 0 {
-		t.Fatalf("expected violation of P0, got p=%d m=%v", p, m)
+	d, v := tm.Worst()
+	if v != 1 || tm.Cons[0].Margin >= 0 {
+		t.Fatalf("expected P0 violated, got violations=%d margin=%v", v, tm.Cons[0].Margin)
+	}
+	if d != tm.Cons[0].Worst {
+		t.Fatalf("worst delay %v, want P0's %v", d, tm.Cons[0].Worst)
 	}
 }

@@ -72,12 +72,6 @@ func (sg *subgraph) netArcsLocal(net int32) []int32 {
 	return sg.netArcIdx[sg.netStart[lo]:sg.netStart[lo+1]]
 }
 
-// SubgraphSize reports the compact size of constraint p's Gd(P): vertex
-// and arc counts. Exposed for benchmarks and capacity planning.
-func (g *Graph) SubgraphSize(p int) (verts, arcs int) {
-	return len(g.subs[p].verts), len(g.subs[p].arcs)
-}
-
 // ArcsInGd returns the number of net arcs of the given net inside Gd(P).
 // The count is precomputed at graph build time (the LM scoring loop reads
 // it once per candidate and constraint).

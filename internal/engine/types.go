@@ -186,11 +186,6 @@ func (res *Result) Margin(p int) float64 { return res.Timing.Cons[p].Margin }
 
 // Violations counts constraints with negative margin.
 func (res *Result) Violations() int {
-	v := 0
-	for p := range res.Timing.Cons {
-		if res.Timing.Cons[p].Margin < 0 {
-			v++
-		}
-	}
+	_, v := res.Timing.Worst()
 	return v
 }

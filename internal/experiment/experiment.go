@@ -1,7 +1,8 @@
 // Package experiment drives the paper's evaluation (§5): it generates the
 // five data sets, routes each with and without constraints, runs channel
 // routing, and evaluates the final delays — producing the rows of Tables
-// 1-3 and the headline statistics.
+// 1-3 and the headline statistics. Evaluate is that measurement for any
+// engine's finished route; the commands and the service call it too.
 package experiment
 
 import (
@@ -17,7 +18,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/lowerbound"
-	"repro/internal/seqroute"
+
+	// Register the per-net engines for RunCircuit; core, imported above,
+	// registers the default.
+	_ "repro/internal/seqroute"
+	_ "repro/internal/steiner"
 )
 
 // Run is the outcome of one routing run (one Table 2 row half).
@@ -26,7 +31,7 @@ type Run struct {
 	EstimatedPs float64 // the router's own estimate (tentative trees)
 	AreaMm2     float64
 	LengthMm    float64
-	CPUSec      float64
+	CPUSec      float64 // route, channel routing and final timing
 	Violations  int
 	Tracks      int
 	AddedCols   int
@@ -61,60 +66,78 @@ func (r *Row) DelayImprovementPct() float64 {
 	return (r.Unc.DelayPs - r.Con.DelayPs) / r.Unc.DelayPs * 100
 }
 
-// RunCircuit routes a circuit in one mode and evaluates it end to end.
-func RunCircuit(ckt *circuit.Circuit, cfg core.Config) (Run, error) {
+// RunCircuit routes a circuit with the named engine ("" is the default,
+// the paper's concurrent router) and evaluates it end to end. CPUSec
+// covers the route, channel routing and the final timing analysis.
+func RunCircuit(ckt *circuit.Circuit, eng string, cfg engine.Config) (Run, error) {
 	start := time.Now()
-	res, err := core.Route(ckt, cfg)
+	res, err := engine.Route(context.Background(), eng, ckt, cfg)
 	if err != nil {
 		return Run{}, err
 	}
-	cr, err := chanroute.Route(res.Ckt, res.Graphs)
-	if err != nil {
-		return Run{}, err
-	}
-	cpu := time.Since(start)
-	delay, viol, err := FinalDelay(res.Ckt, cr.NetLenUm)
+	ev, err := Evaluate(res)
 	if err != nil {
 		return Run{}, err
 	}
 	return Run{
-		DelayPs:     delay,
+		DelayPs:     ev.DelayPs,
 		EstimatedPs: res.Delay,
-		AreaMm2:     cr.AreaMm2,
-		LengthMm:    cr.TotalLenUm / 1000,
-		CPUSec:      cpu.Seconds(),
-		Violations:  viol,
+		AreaMm2:     ev.Channels.AreaMm2,
+		LengthMm:    ev.Channels.TotalLenUm / 1000,
+		CPUSec:      time.Since(start).Seconds(),
+		Violations:  ev.Violations,
 		Tracks:      res.Dens.TotalTracks(),
 		AddedCols:   res.AddedPitches,
 	}, nil
 }
 
+// Eval is the paper's measurement of one finished routing (§5): delays
+// "from routing lengths after channel routing".
+type Eval struct {
+	Channels   *chanroute.Result
+	Timing     *dgraph.Timing // lumped analysis over Channels.NetLenUm
+	DelayPs    float64        // worst constrained-path delay
+	Violations int
+}
+
+// Evaluate channel-routes a finished routing and analyzes its
+// constraints over the channel-routed net lengths.
+func Evaluate(res *engine.Result) (*Eval, error) {
+	cr, err := chanroute.Route(res.Ckt, res.Graphs)
+	if err != nil {
+		return nil, err
+	}
+	tm, err := finalTiming(res.Ckt, cr.NetLenUm)
+	if err != nil {
+		return nil, err
+	}
+	ev := &Eval{Channels: cr, Timing: tm}
+	ev.DelayPs, ev.Violations = tm.Worst()
+	return ev, nil
+}
+
 // FinalDelay evaluates the constraints with post-channel-routing lengths
-// (the paper's measurement) and counts violations.
+// (the paper's measurement) and counts violations: Evaluate's analysis,
+// for callers that ran channel routing themselves.
 func FinalDelay(ckt *circuit.Circuit, netLenUm []float64) (worst float64, violations int, err error) {
-	dg, err := dgraph.New(ckt)
+	tm, err := finalTiming(ckt, netLenUm)
 	if err != nil {
 		return 0, 0, err
+	}
+	worst, violations = tm.Worst()
+	return worst, violations, nil
+}
+
+// finalTiming runs the lumped analysis over the given net lengths.
+func finalTiming(ckt *circuit.Circuit, netLenUm []float64) (*dgraph.Timing, error) {
+	dg, err := dgraph.New(ckt)
+	if err != nil {
+		return nil, err
 	}
 	tm := dg.NewTiming()
 	tm.SetLumped(netLenUm)
 	tm.Analyze()
-	worst, violations = WorstDelay(tm)
-	return worst, violations, nil
-}
-
-// WorstDelay reports an analyzed timing's worst constrained-path delay
-// and its number of violated constraints.
-func WorstDelay(tm *dgraph.Timing) (worst float64, violations int) {
-	for p := range tm.Cons {
-		if tm.Cons[p].Worst > worst {
-			worst = tm.Cons[p].Worst
-		}
-		if tm.Cons[p].Margin < 0 {
-			violations++
-		}
-	}
-	return worst, violations
+	return tm, nil
 }
 
 // RunDataset evaluates one named data set (e.g. "C1P1") in both modes.
@@ -140,12 +163,12 @@ func RunGenerated(name string, ckt *circuit.Circuit, base core.Config) (*Row, er
 	row.LowerBoundPs = lb
 	conCfg := base
 	conCfg.UseConstraints = true
-	if row.Con, err = RunCircuit(ckt, conCfg); err != nil {
+	if row.Con, err = RunCircuit(ckt, engine.DefaultName, conCfg); err != nil {
 		return nil, fmt.Errorf("%s constrained: %w", name, err)
 	}
 	uncCfg := base
 	uncCfg.UseConstraints = false
-	if row.Unc, err = RunCircuit(ckt, uncCfg); err != nil {
+	if row.Unc, err = RunCircuit(ckt, engine.DefaultName, uncCfg); err != nil {
 		return nil, fmt.Errorf("%s unconstrained: %w", name, err)
 	}
 	return row, nil
@@ -214,33 +237,4 @@ func Summarize(rows []*Row) Headline {
 		h.AreaChangeAvgPct /= n
 	}
 	return h
-}
-
-// RunBaseline evaluates the sequential net-at-a-time baseline router on a
-// circuit (same measurement pipeline as RunCircuit).
-func RunBaseline(ckt *circuit.Circuit) (Run, error) {
-	start := time.Now()
-	res, err := seqroute.Route(context.Background(), ckt, engine.Config{UseConstraints: true})
-	if err != nil {
-		return Run{}, err
-	}
-	cr, err := chanroute.Route(res.Ckt, res.Graphs)
-	if err != nil {
-		return Run{}, err
-	}
-	cpu := time.Since(start)
-	delay, viol, err := FinalDelay(res.Ckt, cr.NetLenUm)
-	if err != nil {
-		return Run{}, err
-	}
-	return Run{
-		DelayPs:     delay,
-		EstimatedPs: res.Delay,
-		AreaMm2:     cr.AreaMm2,
-		LengthMm:    cr.TotalLenUm / 1000,
-		CPUSec:      cpu.Seconds(),
-		Violations:  viol,
-		Tracks:      res.Dens.TotalTracks(),
-		AddedCols:   res.AddedPitches,
-	}, nil
 }

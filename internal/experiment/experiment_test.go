@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestRunGeneratedSample(t *testing.T) {
@@ -86,22 +87,30 @@ func TestScalingText(t *testing.T) {
 	}
 }
 
-func TestRunBaselineSample(t *testing.T) {
-	run, err := RunBaseline(circuit.SampleSmall())
-	if err != nil {
-		t.Fatal(err)
+func TestRunCircuitEnginesSample(t *testing.T) {
+	runs := map[string]Run{}
+	for _, eng := range engine.Names() {
+		run, err := RunCircuit(circuit.SampleSmall(), eng, engine.Config{UseConstraints: true})
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		if run.DelayPs <= 0 || run.EstimatedPs <= 0 || run.AreaMm2 <= 0 || run.LengthMm <= 0 ||
+			run.CPUSec <= 0 || run.Tracks <= 0 {
+			t.Fatalf("%s: incomplete run: %+v", eng, run)
+		}
+		runs[eng] = run
 	}
-	if run.DelayPs <= 0 || run.AreaMm2 <= 0 || run.LengthMm <= 0 {
-		t.Fatalf("incomplete baseline run: %+v", run)
+	// The per-net baseline and the concurrent router measure the same
+	// circuit; on this tiny fixture they must land in the same ballpark.
+	con, seq := runs[engine.DefaultName], runs["sequential"]
+	if seq.DelayPs < con.DelayPs*0.5 || seq.DelayPs > con.DelayPs*2 {
+		t.Fatalf("sequential delay %v implausible vs concurrent %v", seq.DelayPs, con.DelayPs)
 	}
-	// The baseline and the concurrent router measure the same circuit; on
-	// this tiny fixture they must land in the same ballpark.
-	con, err := RunCircuit(circuit.SampleSmall(), core.Config{UseConstraints: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.DelayPs < con.DelayPs*0.5 || run.DelayPs > con.DelayPs*2 {
-		t.Fatalf("baseline delay %v implausible vs %v", run.DelayPs, con.DelayPs)
+	// sequential and steiner are two names for one router.
+	ste := runs["steiner"]
+	seq.CPUSec, ste.CPUSec = 0, 0
+	if seq != ste {
+		t.Fatalf("sequential %+v != steiner %+v", seq, ste)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -39,8 +39,7 @@ func Scaling() ([]ScalePoint, error) {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		genSec := time.Since(t0).Seconds()
-		t0 = time.Now()
-		run, err := RunCircuit(ckt, core.Config{UseConstraints: true})
+		run, err := RunCircuit(ckt, engine.DefaultName, engine.Config{UseConstraints: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}

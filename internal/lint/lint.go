@@ -143,7 +143,8 @@ var deterministicPkgs = map[string]bool{
 }
 
 // Deterministic reports whether a package is part of the deterministic
-// routing core that maporder, floateq, clockuse and epochs guard.
+// routing core that maporder, floateq, clockuse, epochs and
+// scratch-escape guard.
 func Deterministic(pkgName string) bool { return deterministicPkgs[pkgName] }
 
 // Analyzers returns the full registered suite, in reporting order.

@@ -38,7 +38,7 @@ func panicOnRun(point, detail string) error {
 func TestPanicContainment(t *testing.T) {
 	healthy := readExample(t)
 	poison := poisonCircuit(t)
-	wantDB, _ := directRun(t, healthy)
+	wantDB, _, _ := directRun(t, healthy)
 
 	faultinject.Set(panicOnRun)
 	t.Cleanup(faultinject.Clear)

@@ -33,9 +33,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chanroute"
 	"repro/internal/circuit"
-	"repro/internal/dgraph"
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
@@ -809,11 +807,11 @@ func (s *Server) finishJob(j *Job, err error) {
 // timing text is the report plus the slack histogram over the
 // post-channel-routing lengths.
 func buildPayload(res *engine.Result) (*Payload, error) {
-	cr, err := chanroute.Route(res.Ckt, res.Graphs)
+	ev, err := experiment.Evaluate(res)
 	if err != nil {
 		return nil, err
 	}
-	db, err := routedb.Build(res, cr)
+	db, err := routedb.Build(res, ev.Channels)
 	if err != nil {
 		return nil, err
 	}
@@ -826,25 +824,17 @@ func buildPayload(res *engine.Result) (*Payload, error) {
 	if err != nil {
 		return nil, err
 	}
-	dg, err := dgraph.New(res.Ckt)
-	if err != nil {
-		return nil, err
-	}
-	tm := dg.NewTiming()
-	tm.SetLumped(cr.NetLenUm)
-	tm.Analyze()
-	timing := report.TimingReport(res.Ckt, tm, 3) + "\n" + report.SlackHistogram(res.Ckt, tm, 8)
-	delay, viol := experiment.WorstDelay(tm)
+	timing := report.TimingReport(res.Ckt, ev.Timing, 3) + "\n" + report.SlackHistogram(res.Ckt, ev.Timing, 8)
 	return &Payload{
 		RouteDB: dbJSON,
 		Timing:  timing,
-		SVG:     render.SVG(res, cr),
+		SVG:     render.SVG(res, ev.Channels),
 		Layout:  render.Layout(res),
 		Summary: Summary{
-			DelayPs:      delay,
-			Violations:   viol,
-			AreaMm2:      cr.AreaMm2,
-			WirelenMm:    cr.TotalLenUm / 1000,
+			DelayPs:      ev.DelayPs,
+			Violations:   ev.Violations,
+			AreaMm2:      ev.Channels.AreaMm2,
+			WirelenMm:    ev.Channels.TotalLenUm / 1000,
 			Tracks:       res.Dens.TotalTracks(),
 			AddedPitches: res.AddedPitches,
 			Nets:         len(res.Ckt.Nets),

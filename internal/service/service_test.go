@@ -35,8 +35,9 @@ func readExample(t *testing.T) string {
 }
 
 // directRun routes the circuit the batch way and renders the same
-// artifacts the service serves, without going through the service code.
-func directRun(t *testing.T, cktText string) (dbJSON []byte, timing string) {
+// artifacts and summary the service serves, without going through the
+// service code or internal/experiment.
+func directRun(t *testing.T, cktText string) (dbJSON []byte, timing string, sum Summary) {
 	t.Helper()
 	ckt, err := circuit.Parse(strings.NewReader(cktText))
 	if err != nil {
@@ -66,7 +67,18 @@ func directRun(t *testing.T, cktText string) (dbJSON []byte, timing string) {
 	tm.SetLumped(cr.NetLenUm)
 	tm.Analyze()
 	timing = report.TimingReport(res.Ckt, tm, 3) + "\n" + report.SlackHistogram(res.Ckt, tm, 8)
-	return dbJSON, timing
+	delay, viol := tm.Worst()
+	sum = Summary{
+		DelayPs:      delay,
+		Violations:   viol,
+		AreaMm2:      cr.AreaMm2,
+		WirelenMm:    cr.TotalLenUm / 1000,
+		Tracks:       res.Dens.TotalTracks(),
+		AddedPitches: res.AddedPitches,
+		Nets:         len(res.Ckt.Nets),
+		Constraints:  len(res.Ckt.Cons),
+	}
+	return dbJSON, timing, sum
 }
 
 func postJob(t *testing.T, base string, body any) submitResponse {
@@ -145,7 +157,7 @@ func pollDone(t *testing.T, base, id string) Status {
 // (observed via /metrics) serving the same bytes.
 func TestServiceEndToEnd(t *testing.T) {
 	cktText := readExample(t)
-	wantDB, wantTiming := directRun(t, cktText)
+	wantDB, wantTiming, wantSum := directRun(t, cktText)
 
 	svc := New(Options{Workers: 2})
 	defer svc.Shutdown(context.Background())
@@ -160,8 +172,11 @@ func TestServiceEndToEnd(t *testing.T) {
 	if st.State != Done {
 		t.Fatalf("job state = %s (error %q), want done", st.State, st.Error)
 	}
-	if st.Summary == nil || st.Summary.Nets == 0 {
-		t.Fatalf("done job has no summary: %+v", st)
+	if st.Summary == nil || *st.Summary != wantSum {
+		t.Fatalf("job summary %+v, want the direct run's %+v", st.Summary, wantSum)
+	}
+	if wantSum.DelayPs <= 0 || wantSum.AreaMm2 <= 0 || wantSum.WirelenMm <= 0 || wantSum.Nets == 0 {
+		t.Fatalf("direct run summary incomplete: %+v", wantSum)
 	}
 	if len(st.Phases) == 0 {
 		t.Fatalf("done job has no phase trace")

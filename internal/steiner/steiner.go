@@ -119,11 +119,7 @@ func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engin
 		Phases:       phases,
 		Duration:     time.Since(start), //bgr:allow clockuse -- profiling only
 	}
-	for p := range tm.Cons {
-		if tm.Cons[p].Worst > res.Delay {
-			res.Delay = tm.Cons[p].Worst
-		}
-	}
+	res.Delay, _ = tm.Worst()
 	for _, l := range r.wl {
 		res.TotalWirelenUm += l
 	}
