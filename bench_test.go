@@ -493,8 +493,9 @@ func BenchmarkSelectEdge(b *testing.B) {
 	}
 }
 
-// BenchmarkDPrime measures the tentative-length d′ Dijkstra over every
-// candidate edge of every net, with the d′ cache bypassed.
+// BenchmarkDPrime measures d′ over every candidate edge of every net as
+// delay-criteria scoring computes it: one tentative-length Dijkstra run
+// per tentative-tree edge, the current length for any other edge.
 func BenchmarkDPrime(b *testing.B) {
 	for _, name := range []string{"C1P1", "C3P1"} {
 		ckt := mustDataset(b, name)
@@ -503,7 +504,7 @@ func BenchmarkDPrime(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p.DPrimeSweep() // warm the lazily-sized d' cache arrays
+			p.DPrimeSweep() // size every graph's Dijkstra workspace
 			b.ReportAllocs()
 			b.ResetTimer()
 			var sink float64

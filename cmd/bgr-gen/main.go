@@ -30,6 +30,9 @@ func main() {
 		dp      = flag.Bool("datapath", false, "bit-sliced datapath synthesis instead of random logic (custom mode)")
 	)
 	flag.Parse()
+	if *style != "P1" && *style != "P2" {
+		fatal(fmt.Errorf("-style %q: want P1 or P2", *style))
+	}
 
 	var params gen.Params
 	var err error

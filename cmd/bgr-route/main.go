@@ -66,10 +66,20 @@ func main() {
 		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, or steiner (same router as sequential)")
 	)
 	flag.Parse()
+	switch *fig {
+	case 0, 1, 3, 4:
+	default:
+		fatal(fmt.Errorf("-fig %d: the figures are 1, 3 and 4", *fig))
+	}
 
 	ckt, err := load(*in, *dataset)
 	if err != nil {
 		fatal(err)
+	}
+	// Feed-cell insertion widens the chip's columns but never adds a row,
+	// so the routed circuit has the channels the input has.
+	if *channel < -1 || *channel >= ckt.Channels() {
+		fatal(fmt.Errorf("-channel %d: %s has channels 0 to %d (-1 picks the most congested)", *channel, ckt.Name, ckt.Channels()-1))
 	}
 	cfg := engine.Config{UseConstraints: !*uncon}
 	if *elmore {

@@ -379,13 +379,9 @@ func vcgPairs(segs []*Segment) [][2]*Segment {
 	return pairs
 }
 
-// belowCounts returns, for each unplaced segment (indexed by the ord field
-// it assigns), how many still-unplaced segments must lie below it.
-func belowCounts(unplaced []*Segment, pairs [][2]*Segment) []int {
-	return belowCountsInto(nil, unplaced, pairs)
-}
-
-// belowCountsInto is belowCounts appending into a caller-owned buffer.
+// belowCountsInto appends to below, for each unplaced segment (indexed by
+// the ord field it assigns), how many still-unplaced segments must lie
+// below it.
 func belowCountsInto(below []int, unplaced []*Segment, pairs [][2]*Segment) []int {
 	for i, s := range unplaced {
 		s.ord = i

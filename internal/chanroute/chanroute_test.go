@@ -235,7 +235,7 @@ func TestBelowCountsMatchNaive(t *testing.T) {
 			segs = append(segs, s)
 		}
 		sub := segs[:3+rng.Intn(len(segs)-3)]
-		got := belowCounts(sub, vcgPairs(segs))
+		got := belowCountsInto(nil, sub, vcgPairs(segs))
 		for _, top := range sub {
 			want := 0
 			for _, bot := range sub {

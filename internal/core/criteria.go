@@ -4,22 +4,20 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/rgraph"
 )
 
 // delayCrit caches the §3.2 delay criteria of one candidate edge: the
 // critical count Cd (eq. 3), the global delay penalty Gl (eq. 4) and the
-// local delay increase LD. An entry is valid while the owning net's
-// timing epoch is unchanged (see router.timEpoch). Counters are int32 so
-// a net's cache line packs more entries (the dcCache arrays are edge-
-// aligned and large).
+// local delay increase LD. An entry is valid while its stamp tim equals
+// the owning net's timing epoch (see router.timEpoch), which starts at 1,
+// so a zero entry is stale. Counters are int32 so a net's cache line
+// packs more entries (the dcCache arrays are edge-aligned and large).
 type delayCrit struct {
-	gl    float64
-	ld    float64
-	cd    int32
-	tim   int32
-	valid bool
+	gl  float64
+	ld  float64
+	cd  int32
+	tim int32
 }
 
 // candidate is a (net, edge) deletion candidate in the compact int32 form
@@ -163,68 +161,44 @@ type netBest struct {
 // dPrime returns d'(e): the tentative-tree length of the net if edge e
 // were deleted (§3.2). Edges outside the current tentative tree cannot
 // change any shortest path, so the current length is exact for them
-// (TestTentativeCacheAblationExact checks it against LengthExcluding).
+// (TestTentativeCacheAblationExact checks it against LengthExcluding);
+// a tree edge costs one Dijkstra run. There is no memo: one that outlived
+// margin changes hit under 1% of lookups (docs/PERF.md).
 func (r *router) dPrime(n, e int) float64 {
 	if !r.trees[n].InTree[e] {
 		return r.wl[n]
-	}
-	if r.dpCache[n] == nil {
-		r.dpCache[n] = make([]dpEntry, len(r.graphs[n].Edges))
-	}
-	if ent := &r.dpCache[n][e]; ent.epoch == r.geoEpoch[n] {
-		return ent.val
 	}
 	l, err := r.graphs[n].LengthExcluding(e)
 	if err != nil {
 		// e turned out to be a bridge (stale candidate); treat as
 		// unchanged — selection will skip it next round.
-		l = r.wl[n]
+		return r.wl[n]
 	}
-	r.dpCache[n][e] = dpEntry{val: l, epoch: r.geoEpoch[n]}
 	return l
 }
 
-// dpEntry is one cached d'(e) value, valid while the net's geometry epoch
-// (alive-edge set) is unchanged.
-type dpEntry struct {
-	val   float64
-	epoch int32
-}
-
-// affectedNets lists the nets whose wiring changes when (n, e) is deleted:
-// the net itself and its differential mate. The returned slice aliases a
-// router-owned two-element buffer — valid until the next call.
-func (r *router) affectedNets(n int) []int {
-	r.rrNets[0] = n
-	if m := r.pairOf[n]; m != circuit.NoNet {
-		r.rrNets[1] = m
-		//bgr:allow scratch-escape -- documented loan: affectedNets' result aliases rrNets until the next call; both callers consume it immediately
-		return r.rrNets[:2]
-	}
-	//bgr:allow scratch-escape -- documented loan: affectedNets' result aliases rrNets until the next call; both callers consume it immediately
-	return r.rrNets[:1]
-}
-
 // delayCriteria computes (with caching) the delay criteria of candidate
-// (n, e) against the current timing state.
+// (n, e) against the current timing state. Net n's cache line is sized
+// here to its current graph, so a rebuild that changed the edge count
+// needs no separate resize; entries left from an older graph carry an
+// older timing epoch and read as stale.
 func (r *router) delayCriteria(n, e int) delayCrit {
-	if r.dcCache[n] == nil {
-		r.dcCache[n] = make([]delayCrit, len(r.graphs[n].Edges))
+	cache := r.dcCache[n]
+	if ne := len(r.graphs[n].Edges); len(cache) != ne {
+		if cap(cache) < ne {
+			cache = make([]delayCrit, ne)
+		}
+		cache = cache[:ne]
+		r.dcCache[n] = cache
 	}
-	c := &r.dcCache[n][e]
-	if c.valid && c.tim == r.timEpoch[n] {
+	c := &cache[e]
+	if c.tim == r.timEpoch[n] {
 		return *c
 	}
-	out := delayCrit{tim: r.timEpoch[n], valid: true}
+	out := delayCrit{tim: r.timEpoch[n]}
 
-	var netsArr [2]int
-	netsArr[0] = n
-	nn := 1
-	if m := r.pairOf[n]; m != circuit.NoNet {
-		netsArr[1] = m
-		nn = 2
-	}
-	nets := netsArr[:nn]
+	pair, k := r.withMate(n)
+	nets := pair[:k]
 	// A net (pair) touching no constraint has identically zero criteria:
 	// the P(e) loop below would not execute, so skip the d' Dijkstra runs.
 	hasCons := false

@@ -239,7 +239,8 @@ func TestAcceptRules(t *testing.T) {
 func TestReallocFeedsProposesOnlyFreeSlots(t *testing.T) {
 	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
 	for n := range r.graphs {
-		nets := r.affectedNets(n)
+		pair, k := r.withMate(n)
+		nets := pair[:k]
 		alt := r.reallocFeeds(nets)
 		if alt == nil {
 			continue

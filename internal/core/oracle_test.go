@@ -44,44 +44,85 @@ func oracleCases() []gen.Params {
 // TestSelectEdgeMatchesFullRescore is the selection oracle. It drives the
 // initial phase step by step on random circuits, constrained and not,
 // and checks every selection against an argmin built from scratch with
-// every cache bypassed: no dcCache, dpCache, cached best or dirty bit is
+// every cache bypassed: no dcCache entry, cached best or dirty bit is
 // read. Restricted selections over random net subsets and flips of the
 // ranking order are interleaved, as the reroute phases and AreaFirst
-// produce them. keyLess compares floats within fEps, which is not
-// transitive, so the oracle folds exactly as selectEdge does — per net in
-// candidate order, then across nets in list order — and any disagreement
-// comes from the caches. sampleDiffTaps adds lock-step deletions of
-// differential mates, which the generated circuits never make.
+// produce them, and so are §3.5 rip-ups (ripUpStep): tryReroute rebuilds
+// a net or pair, routes it and keeps or restores it, sometimes with a
+// feed moved so that the rebuilt graph changes its edge count. keyLess
+// compares floats within fEps, which is not transitive, so the oracle
+// folds exactly as selectEdge does — per net in candidate order, then
+// across nets in list order — and any disagreement comes from the
+// caches. sampleDiffTaps adds lock-step deletions of differential mates,
+// which the generated circuits never make.
 func TestSelectEdgeMatchesFullRescore(t *testing.T) {
-	for ci, params := range oracleCases() {
+	var total ripUpStats
+	cases := oracleCases()
+	ran := 0
+	for ci, params := range cases {
 		t.Run(fmt.Sprintf("case%02d", ci), func(t *testing.T) {
+			ran++
 			ckt, err := gen.Generate(params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runOracle(t, ckt, Config{UseConstraints: ci/2%2 == 0}, ci%3 == 0, int64(7000+ci))
+			total.add(runOracle(t, ckt, Config{UseConstraints: ci/2%2 == 0}, ci%3 == 0, int64(7000+ci)))
 		})
 	}
 	for _, constrained := range []bool{true, false} {
 		t.Run(fmt.Sprintf("diff-taps/constrained=%v", constrained), func(t *testing.T) {
-			runOracle(t, sampleDiffTaps(), Config{UseConstraints: constrained}, false, 61)
+			ran++
+			total.add(runOracle(t, sampleDiffTaps(), Config{UseConstraints: constrained}, false, 61))
 		})
+	}
+	t.Logf("rip-ups %d: %d with a moved feed, %d kept, %d kept with a new edge count",
+		total.ripUps, total.moved, total.kept, total.resized)
+	if ran < len(cases)+2 {
+		return // a -run filter picked some cases: the totals cover those only
+	}
+	if total.moved == 0 || total.kept == 0 || total.kept == total.ripUps || total.resized == 0 {
+		t.Fatalf("rip-up steps do not cover moved feeds, kept and restored attempts and resized graphs: %+v", total)
 	}
 }
 
+// ripUpStats counts the rip-up steps of oracle runs.
+type ripUpStats struct {
+	ripUps  int // tryReroute calls
+	moved   int // of them, with one feed moved
+	kept    int // of them, accepted
+	resized int // of the accepted, with a rebuilt graph of a new edge count
+}
+
+func (s *ripUpStats) add(o ripUpStats) {
+	s.ripUps += o.ripUps
+	s.moved += o.moved
+	s.kept += o.kept
+	s.resized += o.resized
+}
+
 // runOracle routes ckt's initial phase under the oracle, ranking in
-// areaOrder except where a random flip interleaves the other order.
-func runOracle(t *testing.T, ckt *circuit.Circuit, cfg Config, areaOrder bool, seed int64) {
+// areaOrder except where a random flip interleaves the other order. A
+// second random stream, so that the selection steps draw as they would
+// without them, interleaves rip-up steps; after each one every net and
+// the rerouted nets are checked.
+func runOracle(t *testing.T, ckt *circuit.Circuit, cfg Config, areaOrder bool, seed int64) ripUpStats {
 	t.Helper()
 	r := newTestRouter(t, ckt, cfg)
 	rng := rand.New(rand.NewSource(seed))
+	ripRng := rand.New(rand.NewSource(seed + 1_000_000))
 	nNets := len(r.graphs)
 	deletions := 0
+	var st ripUpStats
 	for step := 0; ; step++ {
 		if rng.Intn(3) == 0 {
 			k := 1 + rng.Intn(min(6, nNets))
 			subset := rng.Perm(nNets)[:k]
 			checkSelection(t, r, subset, rng.Intn(2) == 0, step)
+		}
+		if ripRng.Intn(4) == 0 {
+			nets := ripUpStep(t, r, ripRng, step, &st)
+			checkSelection(t, r, nil, ripRng.Intn(2) == 0, step)
+			checkSelection(t, r, nets, ripRng.Intn(2) == 0, step)
 		}
 		order := areaOrder
 		if rng.Intn(6) == 0 {
@@ -99,6 +140,64 @@ func runOracle(t *testing.T, ckt *circuit.Circuit, cfg Config, areaOrder bool, s
 	if deletions == 0 {
 		t.Fatal("no deletions exercised")
 	}
+	return st
+}
+
+// ripUpStep rips up a random net and its differential mate with
+// tryReroute under a verdict drawn in advance, and returns the nets. About
+// half the attempts first move one feed of an unpaired single-pitch net
+// to another free slot of its row (moveOneFeed).
+func ripUpStep(t *testing.T, r *router, rng *rand.Rand, step int, st *ripUpStats) []int {
+	t.Helper()
+	n := rng.Intn(len(r.graphs))
+	pair, k := r.withMate(n)
+	nets := pair[:k]
+	var alt [][]rgraph.FeedPos
+	if rng.Intn(2) == 0 {
+		alt = moveOneFeed(r, rng, n)
+	}
+	keep := rng.Intn(2) == 0
+	nEdges := len(r.graphs[n].Edges)
+	kept, err := r.tryReroute(nets, alt, rng.Intn(2) == 0, func(before, after objective) bool { return keep })
+	if err != nil {
+		t.Fatalf("step %d: rip-up of net %d: %v", step, n, err)
+	}
+	st.ripUps++
+	if alt != nil {
+		st.moved++
+	}
+	if kept {
+		st.kept++
+		if len(r.graphs[n].Edges) != nEdges {
+			st.resized++
+		}
+	}
+	return nets
+}
+
+// moveOneFeed returns net n's feeds with one of them moved to another
+// free slot of its row, as tryReroute's alternative feeds, or nil when n
+// is paired or wider than one pitch, has no feed, or the row has no free
+// slot.
+func moveOneFeed(r *router, rng *rand.Rand, n int) [][]rgraph.FeedPos {
+	feeds := r.feeds[n]
+	if r.pairOf[n] != circuit.NoNet || r.ckt.Nets[n].Pitch != 1 || len(feeds) == 0 {
+		return nil
+	}
+	i := rng.Intn(len(feeds))
+	row := feeds[i].Row
+	var free []int
+	for _, s := range r.geo.FeedSlots(row) {
+		if r.slotOwnerAt(row, s.Col) < 0 {
+			free = append(free, s.Col)
+		}
+	}
+	if len(free) == 0 {
+		return nil
+	}
+	alt := append([]rgraph.FeedPos(nil), feeds...)
+	alt[i].Col = free[rng.Intn(len(free))]
+	return [][]rgraph.FeedPos{alt}
 }
 
 // checkSelection runs selectEdge over restrict (nil means every net in

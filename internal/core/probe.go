@@ -13,8 +13,7 @@ import (
 // running any deletion phase, so repeated selection sweeps measure the
 // engine itself rather than a moving routing state.
 type Probe struct {
-	r     *router
-	nbBuf []int32 // DPrimeSweep candidate buffer
+	r *router
 }
 
 // NewProbe validates the circuit and builds the router state exactly as
@@ -43,16 +42,15 @@ func (p *Probe) InvalidateAll() {
 	}
 }
 
-// DPrimeSweep recomputes the tentative routed length d′ for every
-// candidate edge of every net, bypassing the per-net d′ cache. It returns
+// DPrimeSweep computes the tentative routed length d′ for every candidate
+// edge of every net, as delay-criteria scoring does: one Dijkstra run per
+// tentative-tree edge, the current length for any other edge. It returns
 // the sum of the lengths so callers can sink the result.
 func (p *Probe) DPrimeSweep() float64 {
 	r := p.r
 	var sum float64
-	for n := range r.graphs {
-		r.touchGeo(n) // stale-stamp the d′ cache without touching the graph
-		p.nbBuf = r.graphs[n].AppendNonBridges(p.nbBuf[:0])
-		for _, e := range p.nbBuf {
+	for n, cands := range r.nbList {
+		for _, e := range cands {
 			sum += r.dPrime(n, int(e))
 		}
 	}

@@ -62,7 +62,8 @@ func (r *router) acceptArea(before, after objective) bool {
 // feedthroughs re-assigned to the free slots nearest its terminal center
 // (unless NoFeedReroute).
 func (r *router) ripUpAndReroute(n int, areaOrder bool, accept func(before, after objective) bool) (bool, error) {
-	nets := r.affectedNets(n)
+	pair, k := r.withMate(n)
+	nets := pair[:k]
 	improved, err := r.tryReroute(nets, nil, areaOrder, accept)
 	if err != nil || improved {
 		return improved, err
@@ -77,46 +78,23 @@ func (r *router) ripUpAndReroute(n int, areaOrder bool, accept func(before, afte
 	return r.tryReroute(nets, alt, areaOrder, accept)
 }
 
-// resizeCaches adjusts net n's edge-aligned criteria caches to the net's
-// current graph after a rebuild, preserving capacity. Stale entries are
-// harmless: dcCache entries are guarded by the timing epoch and dpCache
-// entries by the geometry epoch, both of which only ever advance (and are
-// bumped by the rebuild), so no stale stamp can read as current.
-func (r *router) resizeCaches(n int) {
-	ne := len(r.graphs[n].Edges)
-	if c := r.dcCache[n]; c != nil {
-		if cap(c) < ne {
-			r.dcCache[n] = make([]delayCrit, ne)
-		} else {
-			r.dcCache[n] = c[:ne]
-		}
-	}
-	if c := r.dpCache[n]; c != nil {
-		if cap(c) < ne {
-			r.dpCache[n] = make([]dpEntry, ne)
-		} else {
-			r.dpCache[n] = c[:ne]
-		}
-	}
-}
-
-// tryReroute performs one rip-up/rebuild/reroute attempt, optionally with
+// tryReroute performs one rip-up/rebuild/reroute attempt on a net or a
+// differential pair (nets has one or two entries), optionally with
 // alternative feedthroughs (altFeeds[i] belongs to nets[i]), reverting
-// everything if accept rejects it. The saved state is held in router-owned
-// slices aligned with nets so every save/restore sweep follows the
+// everything if accept rejects it. The saved graphs and feeds are held in
+// arrays aligned with nets, so every save/restore sweep follows the
 // caller's net order exactly; retired graphs go to the free list so the
 // next rebuild recycles their storage.
 func (r *router) tryReroute(nets []int, altFeeds [][]rgraph.FeedPos, areaOrder bool, accept func(before, after objective) bool) (bool, error) {
 	before := r.objective()
 
-	oldGraphs := r.savedGraphs[:0]
-	oldFeeds := r.savedFeeds[:0]
-	for _, nn := range nets {
-		oldGraphs = append(oldGraphs, r.graphs[nn])
-		oldFeeds = append(oldFeeds, r.feeds[nn])
-		r.densRemoveGraph(nn, r.graphs[nn])
+	var oldGraphs [2]*rgraph.Graph
+	var oldFeeds [2][]rgraph.FeedPos
+	for i, nn := range nets {
+		oldGraphs[i] = r.graphs[nn]
+		oldFeeds[i] = r.feeds[nn]
+		r.densRemoveGraph(r.graphs[nn])
 	}
-	r.savedGraphs, r.savedFeeds = oldGraphs, oldFeeds
 	if altFeeds != nil {
 		for _, nn := range nets {
 			r.ownSlots(nn, r.feeds[nn], false)
@@ -140,13 +118,11 @@ func (r *router) tryReroute(nets []int, altFeeds [][]rgraph.FeedPos, areaOrder b
 	}
 	restore := func() error {
 		for i, nn := range nets {
-			r.densRemoveGraph(nn, r.graphs[nn])
+			r.densRemoveGraph(r.graphs[nn])
 			r.putGraph(r.graphs[nn])
 			r.graphs[nn] = oldGraphs[i]
-			r.densAddGraph(nn, r.graphs[nn])
+			r.densAddGraph(r.graphs[nn])
 			r.touchNet(nn)
-			r.touchGeo(nn)
-			r.resizeCaches(nn)
 			r.refreshCandidates(nn)
 		}
 		restoreFeeds()
@@ -162,24 +138,20 @@ func (r *router) tryReroute(nets []int, altFeeds [][]rgraph.FeedPos, areaOrder b
 			// would double count.
 			for j, m := range nets {
 				if r.graphs[m] != oldGraphs[j] {
-					r.densRemoveGraph(m, r.graphs[m])
+					r.densRemoveGraph(r.graphs[m])
 					r.putGraph(r.graphs[m])
 					r.graphs[m] = oldGraphs[j]
 					r.touchNet(m)
-					r.touchGeo(m)
-					r.resizeCaches(m)
 					r.refreshCandidates(m)
 				}
-				r.densAddGraph(m, r.graphs[m])
+				r.densAddGraph(r.graphs[m])
 			}
 			restoreFeeds()
 			return false, fmt.Errorf("core: rebuilding net %s: %w", r.ckt.Nets[nn].Name, err)
 		}
 		r.graphs[nn] = g
-		r.densAddGraph(nn, g)
+		r.densAddGraph(g)
 		r.touchNet(nn)
-		r.touchGeo(nn)
-		r.resizeCaches(nn)
 		r.refreshCandidates(nn)
 	}
 	if len(nets) == 2 {
@@ -206,7 +178,7 @@ func (r *router) tryReroute(nets []int, altFeeds [][]rgraph.FeedPos, areaOrder b
 	if accept(before, after) {
 		// The displaced graphs are no longer referenced anywhere (trees
 		// and density already follow the new graphs); recycle them.
-		for _, g := range oldGraphs {
+		for _, g := range oldGraphs[:len(nets)] {
 			r.putGraph(g)
 		}
 		return true, nil

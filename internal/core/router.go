@@ -35,17 +35,13 @@ type router struct {
 	slotOwner []int32
 	slotCols  int
 
-	// Criteria caches (see criteria.go). timEpoch[n] advances whenever
-	// anything net n's criteria read changes: its own graph, its
-	// differential mate's, or the margin of a constraint touching either.
-	// dcCache entries and the per-net best are stamped with it.
+	// Criteria cache (see criteria.go). timEpoch[n] starts at 1 and
+	// advances whenever anything net n's criteria read changes: its own
+	// graph, its differential mate's, or the margin of a constraint
+	// touching either. dcCache entries are stamped with it, so a zero
+	// entry reads as stale.
 	timEpoch []int32
 	dcCache  [][]delayCrit
-	// geoEpoch[n] advances when net n's alive-edge set changes; dpCache
-	// entries (pure geometry) are stamped with it, surviving the timing
-	// invalidations that clear dcCache.
-	geoEpoch []int32
-	dpCache  [][]dpEntry
 
 	// Incremental selection engine (see criteria.go).
 	best       []netBest // cached per-net ranked best candidate
@@ -59,7 +55,7 @@ type router struct {
 	// dirtyBest marks the nets whose cached best may be stale: bit n clear
 	// guarantees best[n] is what scoreNet would compute now, and
 	// selectEdge re-scores every net whose bit is set. Bits are set by
-	// touchNet/touchGeo, by refreshCandidates, and by draining the density
+	// touchNet, by refreshCandidates, and by draining the density
 	// state's changed channels through chanNetBits (bit n of
 	// chanNetBits[ch] set iff ch ∈ netChans[n]), so a density change
 	// re-scores only the nets with a candidate in a changed channel.
@@ -73,35 +69,18 @@ type router struct {
 	selStat  selStats
 	timStat  timStats
 
-	// trunkCnt[ch*nNets+n] counts net n's alive trunk edges in channel ch
-	// (flat row-major); the area phase uses it to visit only nets present
-	// in the max channel.
-	trunkCnt []int32
-	nNets    int
-
 	// Hot-path scratch buffers, each owned by exactly one (non-reentrant)
 	// method and sized once; see docs/PERF.md for the ownership rules.
-	//bgr:owned -- affectedNets result backing, lent until the next call
-	rrNets   [2]int
-	delNets  [2]int // deleteEdge: nets being edited
-	delDirty [2]int // deleteEdge: nets whose tree changed
-	//bgr:owned -- criticalNets constraint order
-	consBuf []int
 	//bgr:owned -- applyNetDelay: Elmore wire delays
 	elmBuf []float64
 	//bgr:owned -- applyNetDelay: per-arc delays
 	perBuf   []float64
 	chanMark []int32 // refreshCandidates channel dedup stamps
 	chanGen  int32
-	//bgr:owned -- congestedNets scored list
-	congBuf []congScored
 
-	// Reroute scratch (see reroute.go): the save/restore state of the
-	// in-flight attempt, and a free list of retired routing graphs whose
-	// storage BuildInto recycles.
-	savedGraphs []*rgraph.Graph
-	savedFeeds  [][]rgraph.FeedPos
-	graphPool   []*rgraph.Graph
+	// graphPool is a free list of retired routing graphs whose storage
+	// BuildInto recycles (see reroute.go).
+	graphPool []*rgraph.Graph
 
 	phases []PhaseStat
 	// addedPitches is the §4.3 chip widening the routing inherits from
@@ -422,12 +401,10 @@ func (r *router) initState(graphs []*rgraph.Graph) error {
 	r.wl = make([]float64, nNets)
 	r.pairOf = make([]int, nNets)
 	r.timEpoch = make([]int32, nNets)
-	r.dcCache = make([][]delayCrit, nNets)
-	r.geoEpoch = make([]int32, nNets)
-	for n := range r.geoEpoch {
-		r.geoEpoch[n] = 1 // zero-valued dpCache entries must read as stale
+	for n := range r.timEpoch {
+		r.timEpoch[n] = 1 // zero-valued dcCache entries must read as stale
 	}
-	r.dpCache = make([][]dpEntry, nNets)
+	r.dcCache = make([][]delayCrit, nNets)
 	r.best = make([]netBest, nNets)
 	r.dens = densityFor(r.ckt)
 	r.slotCols = r.ckt.Cols
@@ -436,8 +413,6 @@ func (r *router) initState(graphs []*rgraph.Graph) error {
 		r.slotOwner[i] = -1
 	}
 	r.consMark = make([]int, len(r.ckt.Cons))
-	r.nNets = nNets
-	r.trunkCnt = make([]int32, r.dens.Channels()*nNets)
 	r.chanMark = make([]int32, r.dens.Channels())
 	words := (nNets + 63) / 64
 	r.dirtyBest = make([]uint64, words)
@@ -451,7 +426,7 @@ func (r *router) initState(graphs []*rgraph.Graph) error {
 	for n, g := range graphs {
 		r.pairOf[n] = r.ckt.Nets[n].DiffMate
 		r.ownSlots(n, r.feeds[n], true)
-		r.densAddGraph(n, g)
+		r.densAddGraph(g)
 	}
 	r.buildIndexes()
 	r.tm = r.dg.NewTiming()
@@ -486,9 +461,8 @@ func sameShape(a, b *rgraph.Graph) error {
 	return nil
 }
 
-// densAddGraph adds every alive edge of a net's graph to the density state
-// and the per-channel trunk index.
-func (r *router) densAddGraph(n int, g *rgraph.Graph) {
+// densAddGraph adds every alive edge of a net's graph to the density state.
+func (r *router) densAddGraph(g *rgraph.Graph) {
 	w := g.Pitch
 	for e := range g.Edges {
 		ed := &g.Edges[e]
@@ -496,7 +470,6 @@ func (r *router) densAddGraph(n int, g *rgraph.Graph) {
 			continue
 		}
 		r.dens.Add(ed.Ch, ed.X1, ed.X2, w)
-		r.trunkCnt[ed.Ch*r.nNets+n]++
 		if ed.Bridge {
 			r.dens.AddBridge(ed.Ch, ed.X1, ed.X2, w)
 		}
@@ -504,7 +477,7 @@ func (r *router) densAddGraph(n int, g *rgraph.Graph) {
 }
 
 // densRemoveGraph removes every alive edge of a net's graph.
-func (r *router) densRemoveGraph(n int, g *rgraph.Graph) {
+func (r *router) densRemoveGraph(g *rgraph.Graph) {
 	w := g.Pitch
 	for e := range g.Edges {
 		ed := &g.Edges[e]
@@ -512,7 +485,6 @@ func (r *router) densRemoveGraph(n int, g *rgraph.Graph) {
 			continue
 		}
 		r.dens.Remove(ed.Ch, ed.X1, ed.X2, w)
-		r.trunkCnt[ed.Ch*r.nNets+n]--
 		if ed.Bridge {
 			r.dens.RemoveBridge(ed.Ch, ed.X1, ed.X2, w)
 		}
@@ -527,7 +499,6 @@ func (r *router) densRemoveEdges(n int, removed []int) {
 			continue
 		}
 		r.dens.Remove(ed.Ch, ed.X1, ed.X2, g.Pitch)
-		r.trunkCnt[ed.Ch*r.nNets+n]--
 		if ed.Bridge {
 			r.dens.RemoveBridge(ed.Ch, ed.X1, ed.X2, g.Pitch)
 		}
@@ -585,21 +556,11 @@ func (r *router) refreshTrees(nets []int) error {
 // invalidating their cached delay criteria and ranked bests. The mate is
 // included because delayCriteria(n, e) reads both halves of a pair.
 func (r *router) touchNet(n int) {
-	r.timEpoch[n]++
-	r.markBestDirty(n)
-	if m := r.pairOf[n]; m != circuit.NoNet {
-		r.timEpoch[m]++
-		r.markBestDirty(m)
+	pair, k := r.withMate(n)
+	for _, nn := range pair[:k] {
+		r.timEpoch[nn]++
+		r.markBestDirty(nn)
 	}
-}
-
-// touchGeo advances net n's geometry epoch after its alive-edge set
-// changed (or must be treated as changed), invalidating the d' cache,
-// which is stamped with geoEpoch. Every geoEpoch write outside
-// initialization goes through here (the bgr-vet epochs contract).
-func (r *router) touchGeo(n int) {
-	r.geoEpoch[n]++
-	r.markBestDirty(n)
 }
 
 // touchCons invalidates every net whose criteria read constraint p's
@@ -628,19 +589,24 @@ func (r *router) applyNetDelay(n int) {
 	r.tm.SetNetLumped(n, r.wl[n])
 }
 
-// deleteEdge removes one selected edge (and its differential mirror),
-// updating density, bridges, caches, trees and timing. The net lists live
-// in router-owned two-element buffers (deleteEdge is not reentrant).
-func (r *router) deleteEdge(n, e int) error {
-	r.delNets[0] = n
-	nn2 := 1
+// withMate returns net n and its differential mate, if any, as the
+// first count entries of a pair: the nets whose wiring changes together.
+func (r *router) withMate(n int) (nets [2]int, count int) {
+	nets[0] = n
 	if m := r.pairOf[n]; m != circuit.NoNet {
-		r.delNets[1] = m
-		nn2 = 2
+		nets[1] = m
+		return nets, 2
 	}
-	nets := r.delNets[:nn2]
+	return nets, 1
+}
+
+// deleteEdge removes one selected edge (and its differential mirror),
+// updating density, bridges, caches, trees and timing.
+func (r *router) deleteEdge(n, e int) error {
+	pair, k := r.withMate(n)
+	var dirty [2]int // the edited nets whose tentative tree lost an edge
 	nDirty := 0
-	for _, nn := range nets {
+	for _, nn := range pair[:k] {
 		g := r.graphs[nn]
 		removed, err := g.Delete(e)
 		if err != nil {
@@ -650,18 +616,17 @@ func (r *router) deleteEdge(n, e int) error {
 		flips := g.RecomputeBridges()
 		r.densFlipBridges(nn, flips)
 		r.touchNet(nn)
-		r.touchGeo(nn)
 		r.refreshCandidates(nn)
 		for _, re := range removed {
 			if r.trees[nn].InTree[re] {
-				r.delDirty[nDirty] = nn
+				dirty[nDirty] = nn
 				nDirty++
 				break
 			}
 		}
 	}
 	if nDirty > 0 {
-		return r.refreshTrees(r.delDirty[:nDirty])
+		return r.refreshTrees(dirty[:nDirty])
 	}
 	return nil
 }
@@ -777,13 +742,12 @@ func (r *router) sweep(ps *PhaseStat, visit func(each func(n int) error) error, 
 // as they stand when the walk reaches it.
 func (r *router) criticalNets(violatedOnly bool) func(each func(n int) error) error {
 	return func(each func(n int) error) error {
-		order := r.consBuf[:0]
+		var order []int
 		for p := range r.tm.Cons {
 			if !violatedOnly || r.tm.Cons[p].Margin < 0 {
 				order = append(order, p)
 			}
 		}
-		r.consBuf = order
 		sort.SliceStable(order, func(a, b int) bool {
 			return r.tm.Cons[order[a]].Margin < r.tm.Cons[order[b]].Margin
 		})
@@ -800,10 +764,8 @@ func (r *router) criticalNets(violatedOnly bool) func(each func(n int) error) er
 
 // congestedNets is the visit order of the area phase (Fig. 2 line 10):
 // the nets with trunk edges over the maximum-density columns of the most
-// congested channel as the pass starts, most congested first. Only nets
-// the trunkCnt index places in the channel are examined; a net covering a
-// max column necessarily has an alive trunk there, so the order is the
-// same as a full scan's (stable sort over ascending net index).
+// congested channel as the pass starts, most congested first (a stable
+// sort, so ties keep ascending net order).
 func (r *router) congestedNets(each func(n int) error) error {
 	ch, cm := r.dens.MaxCM()
 	if ch < 0 || cm == 0 {
@@ -813,13 +775,8 @@ func (r *router) congestedNets(each func(n int) error) error {
 	// maximum — MaxCM's channel has C_M == cm, so summing ND_M over the
 	// net's trunk edges in the channel is exactly the old per-column
 	// profile scan (edges of one net never overlap columns).
-	list := r.congBuf[:0]
-	row := r.trunkCnt[ch*r.nNets : (ch+1)*r.nNets]
-	for n, cnt := range row {
-		if cnt <= 0 {
-			continue
-		}
-		g := r.graphs[n]
+	var list []congScored
+	for n, g := range r.graphs {
 		cover := 0
 		for e := range g.Edges {
 			ed := &g.Edges[e]
@@ -832,7 +789,6 @@ func (r *router) congestedNets(each func(n int) error) error {
 			list = append(list, congScored{n, cover})
 		}
 	}
-	r.congBuf = list
 	sort.SliceStable(list, func(a, b int) bool { return list[a].cover > list[b].cover })
 	for _, s := range list {
 		if err := each(s.net); err != nil {

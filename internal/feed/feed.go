@@ -261,9 +261,10 @@ func (p *pass) run(order []int) {
 	}
 }
 
-// channelSpan returns the lowest and highest channel the net's terminals
-// touch, and the mean terminal column (the §3.1 search center).
-func channelSpan(ckt *circuit.Circuit, net int) (minCh, maxCh int, center int) {
+// ChannelSpan returns the lowest and highest channel the net's terminals
+// touch, and the mean terminal column (the §3.1 search center). The
+// router's reroute-time feed re-assignment uses it too.
+func ChannelSpan(ckt *circuit.Circuit, net int) (minCh, maxCh int, center int) {
 	minCh, maxCh = math.MaxInt32, -1
 	sum, cnt := 0, 0
 	for _, t := range ckt.Terminals(net) {
@@ -335,13 +336,6 @@ func FindGroup(geo *grid.Geometry, occupied func(row, col int) bool, row, width,
 	return bestCol
 }
 
-// ChannelSpan reports the channel extent of a net's terminals and the mean
-// terminal column (the §3.1 search center). Exported for reroute-time feed
-// re-assignment.
-func ChannelSpan(ckt *circuit.Circuit, net int) (minCh, maxCh, center int) {
-	return channelSpan(ckt, net)
-}
-
 // flagCompatible implements the §4.3 width-flag rule of the second pass:
 // single-pitch nets use unflagged or 1-flagged slots; w-pitch nets (and
 // differential pairs, which count as width 2) use only w-flagged slots.
@@ -352,7 +346,7 @@ func flagCompatible(flag, width int) bool {
 	return flag == width
 }
 
-func (p *pass) take(row, col, width, flagWidth int, net int) {
+func (p *pass) take(row, col, width, flagWidth int) {
 	for j := 0; j < width; j++ {
 		p.occupied[row*p.cols+col+j] = true
 	}
@@ -368,12 +362,11 @@ func (p *pass) take(row, col, width, flagWidth int, net int) {
 			}
 		}
 	}
-	_ = net
 }
 
 // assignNet handles a plain (possibly multi-pitch) net.
 func (p *pass) assignNet(n, width int) {
-	minCh, maxCh, center := channelSpan(p.ckt, n)
+	minCh, maxCh, center := ChannelSpan(p.ckt, n)
 	target := center
 	for r := minCh; r < maxCh; r++ {
 		col := p.findGroup(r, width, target, width)
@@ -381,7 +374,7 @@ func (p *pass) assignNet(n, width int) {
 			p.addShortfall(r, width)
 			continue
 		}
-		p.take(r, col, width, width, n)
+		p.take(r, col, width, width)
 		p.feeds[n] = append(p.feeds[n], rgraph.FeedPos{Row: r, Col: col})
 		target = col // keep subsequent rows aligned (§3.1)
 	}
@@ -395,7 +388,7 @@ func (p *pass) assignPair(a, b int) {
 	if shift < 0 {
 		left, right = b, a
 	}
-	minCh, maxCh, center := channelSpan(p.ckt, a)
+	minCh, maxCh, center := ChannelSpan(p.ckt, a)
 	target := center
 	for r := minCh; r < maxCh; r++ {
 		col := p.findGroup(r, 2, target, 2)
@@ -403,7 +396,7 @@ func (p *pass) assignPair(a, b int) {
 			p.addShortfall(r, 2)
 			continue
 		}
-		p.take(r, col, 2, 2, a)
+		p.take(r, col, 2, 2)
 		p.feeds[left] = append(p.feeds[left], rgraph.FeedPos{Row: r, Col: col})
 		p.feeds[right] = append(p.feeds[right], rgraph.FeedPos{Row: r, Col: col + 1})
 		target = col

@@ -11,7 +11,7 @@ import (
 
 // requiredRows lists the rows a net must cross.
 func requiredRows(ckt *circuit.Circuit, net int) []int {
-	minCh, maxCh, _ := channelSpan(ckt, net)
+	minCh, maxCh, _ := ChannelSpan(ckt, net)
 	var rows []int
 	for r := minCh; r < maxCh; r++ {
 		rows = append(rows, r)

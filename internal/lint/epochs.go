@@ -7,7 +7,7 @@ import (
 )
 
 // analyzerEpochs enforces the PR-2 cache contract: epoch and version
-// counters (router.timEpoch and router.geoEpoch) are
+// counters (router.timEpoch) are
 // the invalidation backbone of the incremental selection engine, and a
 // write to one of them anywhere except its owning bump/invalidate method
 // bypasses the paired bookkeeping (mate invalidation, dirty marking) that

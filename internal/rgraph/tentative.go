@@ -238,7 +238,7 @@ func (w *dijkstraWS) markEdge(e int32)        { w.edgeStamp[e] = w.edgeGen }
 // algorithm from the driving terminal (paper §3.2). The returned tree is
 // freshly allocated.
 func (g *Graph) Tentative() (*Tree, error) {
-	return g.tentativeCostInto(-1, nil, nil)
+	return g.tentativeCostInto(nil, nil)
 }
 
 // TentativeInto is Tentative reusing a previous tree's storage (prev may
@@ -248,14 +248,14 @@ func (g *Graph) Tentative() (*Tree, error) {
 //
 //bgr:hot
 func (g *Graph) TentativeInto(prev *Tree) (*Tree, error) {
-	return g.tentativeCostInto(-1, nil, prev)
+	return g.tentativeCostInto(nil, prev)
 }
 
 // TentativeWeighted computes a tentative tree under a custom edge cost
 // (e.g. congestion-inflated lengths for a sequential baseline router).
 // Tree.Length still reports physical length; SinkDist is in cost units.
 func (g *Graph) TentativeWeighted(cost func(e int) float64) (*Tree, error) {
-	return g.tentativeCost(-1, cost)
+	return g.tentativeCostInto(cost, nil)
 }
 
 // KeepOnly kills every alive edge outside the tree, leaving exactly the
@@ -295,10 +295,6 @@ func (g *Graph) LengthExcluding(skip int) (float64, error) {
 		}
 	}
 	return length, nil
-}
-
-func (g *Graph) tentative(skip int) (*Tree, error) {
-	return g.tentativeCost(skip, nil)
 }
 
 // runDijkstra fills the workspace with shortest paths from the driving
@@ -342,12 +338,11 @@ func (g *Graph) runDijkstra(skip int, cost func(e int) float64) {
 	}
 }
 
-func (g *Graph) tentativeCost(skip int, cost func(e int) float64) (*Tree, error) {
-	return g.tentativeCostInto(skip, cost, nil)
-}
-
-func (g *Graph) tentativeCostInto(skip int, cost func(e int) float64, prev *Tree) (*Tree, error) {
-	g.runDijkstra(skip, cost)
+// tentativeCostInto computes the tentative tree over every alive edge
+// under the given edge cost (nil means physical length), refilling prev's
+// storage when prev is non-nil.
+func (g *Graph) tentativeCostInto(cost func(e int) float64, prev *Tree) (*Tree, error) {
+	g.runDijkstra(-1, cost)
 	w := &g.ws
 	t := prev
 	if t == nil {
