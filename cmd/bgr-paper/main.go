@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -32,13 +33,18 @@ func main() {
 		robust  = flag.Int("robust", 0, "evaluate N fresh generator seeds and print the robustness statistics")
 	)
 	flag.Parse()
+	if *table < 0 || *table > 3 {
+		fatal(fmt.Errorf("-table %d: the tables are 1, 2 and 3 (0 prints everything)", *table))
+	}
+	if math.IsNaN(*rPerUm) || math.IsInf(*rPerUm, 0) || *rPerUm < 0 {
+		fatal(fmt.Errorf("-r %v: the wire resistance must be a finite non-negative number", *rPerUm))
+	}
 
 	if *robust > 0 {
 		for _, style := range []gen.PlacementStyle{gen.P1, gen.P2} {
 			st, err := experiment.Robustness(*robust, style)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			fmt.Printf("[%v placements] ", style)
 			fmt.Print(experiment.RobustnessText(st))
@@ -48,8 +54,7 @@ func main() {
 	if *scaling {
 		points, err := experiment.Scaling()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Print(experiment.ScalingText(points))
 		return
@@ -62,22 +67,18 @@ func main() {
 	}
 	rows, err := experiment.RunAll(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *csvOut != "" {
 		f, err := os.Create(*csvOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := experiment.WriteCSV(f, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "bgr-paper:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 	if *md {
@@ -100,4 +101,9 @@ func main() {
 		fmt.Println()
 		fmt.Print(report.HeadlineText(experiment.Summarize(rows), len(rows)))
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "bgr-paper:", err)
+	os.Exit(1)
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -70,6 +71,9 @@ func main() {
 	case 0, 1, 3, 4:
 	default:
 		fatal(fmt.Errorf("-fig %d: the figures are 1, 3 and 4", *fig))
+	}
+	if math.IsNaN(*rPerUm) || math.IsInf(*rPerUm, 0) || *rPerUm < 0 {
+		fatal(fmt.Errorf("-r %v: the wire resistance must be a finite non-negative number", *rPerUm))
 	}
 
 	ckt, err := load(*in, *dataset)

@@ -13,9 +13,9 @@ import (
 func (r *router) recount() *density.State {
 	d := density.New(r.ckt.Channels(), r.ckt.Cols)
 	for _, g := range r.graphs {
-		for _, e := range g.AliveEdges() {
+		for e := range g.Edges {
 			ed := &g.Edges[e]
-			if ed.Kind != rgraph.ETrunk {
+			if !ed.Alive || ed.Kind != rgraph.ETrunk {
 				continue
 			}
 			d.Add(ed.Ch, ed.X1, ed.X2, g.Pitch)

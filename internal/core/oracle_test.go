@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -41,20 +43,28 @@ func oracleCases() []gen.Params {
 	return out
 }
 
-// TestSelectEdgeMatchesFullRescore is the selection oracle. It drives the
-// initial phase step by step on random circuits, constrained and not,
-// and checks every selection against an argmin built from scratch with
-// every cache bypassed: no dcCache entry, cached best or dirty bit is
-// read. Restricted selections over random net subsets and flips of the
-// ranking order are interleaved, as the reroute phases and AreaFirst
-// produce them, and so are §3.5 rip-ups (ripUpStep): tryReroute rebuilds
-// a net or pair, routes it and keeps or restores it, sometimes with a
-// feed moved so that the rebuilt graph changes its edge count. keyLess
-// compares floats within fEps, which is not transitive, so the oracle
-// folds exactly as selectEdge does — per net in candidate order, then
-// across nets in list order — and any disagreement comes from the
-// caches. sampleDiffTaps adds lock-step deletions of differential mates,
-// which the generated circuits never make.
+// TestSelectEdgeMatchesFullRescore is the selection oracle. It checks
+// selections against an argmin built from scratch with every cache
+// bypassed: no dcCache entry, cached best or dirty bit is read. Each
+// check also compares the cached best of every net in scope, and every
+// current dcCache entry of a candidate, with the from-scratch values.
+//
+// The caseNN subtests drive the initial phase step by step on random
+// circuits, constrained and not. Restricted selections over random net
+// subsets and flips of the ranking order are interleaved, as the reroute
+// phases and AreaFirst produce them, and so are §3.5 rip-ups
+// (ripUpStep): tryReroute rebuilds a net or pair, routes it and keeps or
+// restores it, sometimes with a feed moved so that the rebuilt graph
+// changes its edge count. sampleDiffTaps adds lock-step deletions of
+// differential mates, which the generated circuits never make. The
+// phases/ subtests route the same circuits through the §3.5 phases
+// (constrained, with AreaFirst, and unconstrained) under oracleCtx,
+// which checks every point at which the router asks its context.
+//
+// keyLess compares floats within fEps, which is not transitive, so the
+// oracle folds exactly as selectEdge does — per net in candidate order,
+// then across nets in list order — and any disagreement comes from the
+// caches.
 func TestSelectEdgeMatchesFullRescore(t *testing.T) {
 	var total ripUpStats
 	cases := oracleCases()
@@ -75,14 +85,78 @@ func TestSelectEdgeMatchesFullRescore(t *testing.T) {
 			total.add(runOracle(t, sampleDiffTaps(), Config{UseConstraints: constrained}, false, 61))
 		})
 	}
+	var checks, reroutes int
+	for ci, params := range cases {
+		for _, cfg := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"constrained", Config{UseConstraints: true}},
+			{"area-first", Config{UseConstraints: true, AreaFirst: true}},
+			{"unconstrained", Config{}},
+		} {
+			t.Run(fmt.Sprintf("phases/case%02d/%s", ci, cfg.name), func(t *testing.T) {
+				ran++
+				ckt, err := gen.Generate(params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, rr := routeUnderOracle(t, ckt, cfg.cfg)
+				checks += c
+				reroutes += rr
+			})
+		}
+	}
 	t.Logf("rip-ups %d: %d with a moved feed, %d kept, %d kept with a new edge count",
 		total.ripUps, total.moved, total.kept, total.resized)
-	if ran < len(cases)+2 {
+	t.Logf("§3.5 phases: %d oracle checks, %d reroutes", checks, reroutes)
+	if ran < 4*len(cases)+2 {
 		return // a -run filter picked some cases: the totals cover those only
 	}
 	if total.moved == 0 || total.kept == 0 || total.kept == total.ripUps || total.resized == 0 {
 		t.Fatalf("rip-up steps do not cover moved feeds, kept and restored attempts and resized graphs: %+v", total)
 	}
+	if reroutes == 0 {
+		t.Fatal("the §3.5 phases under the oracle made no reroute")
+	}
+}
+
+// oracleCtx is the context of the §3.5 phases under the oracle. The
+// router asks its context as each phase starts, before every reroute of a
+// sweep and before every selection inside tryReroute; each ask runs
+// checkSelection over every net, in the ranking order of the router's
+// last selection, and never cancels.
+type oracleCtx struct {
+	context.Context
+	t      *testing.T
+	r      *router
+	checks int
+}
+
+func (c *oracleCtx) Err() error {
+	checkSelection(c.t, c.r, nil, c.r.lastAreaOrd, c.checks)
+	c.checks++
+	return nil
+}
+
+// routeUnderOracle routes ckt as RouteCtx does, with the §3.5 phases
+// under an oracleCtx; runOracle covers the initial phase step by step. It
+// returns the number of oracle checks and of reroutes.
+func routeUnderOracle(t *testing.T, ckt *circuit.Circuit, cfg Config) (checks, reroutes int) {
+	t.Helper()
+	r := newTestRouter(t, ckt, cfg)
+	if err := r.runPhase("initial", r.initialRouting); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &oracleCtx{Context: context.Background(), t: t, r: r}
+	r.ctx = ctx
+	if err := r.improve(routePhases); err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range r.phases {
+		reroutes += ps.Reroutes
+	}
+	return ctx.checks, reroutes
 }
 
 // ripUpStats counts the rip-up steps of oracle runs.
@@ -210,14 +284,21 @@ func checkSelection(t *testing.T, r *router, restrict []int, areaOrder bool, ste
 	if nets == nil {
 		nets = allNets(len(r.graphs))
 	}
-	d := r.recount()
+	var d *density.State // a recount, made when the first candidate needs it
 	want := candidate{net: -1}
 	var wantKey candKey
 	for _, n := range nets {
 		nb := netBest{edge: -1}
 		for _, e := range r.graphs[n].NonBridges() {
+			if d == nil {
+				d = r.recount()
+			}
 			c := candidate{net: int32(n), edge: int32(e)}
 			k := oracleKey(t, r, d, c)
+			if dc := r.dcCache[n]; e < len(dc) && dc[e].tim == r.timEpoch[n] && (dc[e].cd != k.cd || dc[e].gl != k.gl || dc[e].ld != k.ld) {
+				t.Fatalf("step %d: net %d edge %d cached delay criteria %+v, oracle cd %d gl %v ld %v",
+					step, n, e, dc[e], k.cd, k.gl, k.ld)
+			}
 			if nb.edge == -1 || r.keyLess(&k, &nb.key, c, candidate{net: int32(n), edge: nb.edge}, areaOrder) {
 				nb = netBest{key: k, edge: int32(e)}
 			}
@@ -245,7 +326,6 @@ func checkSelection(t *testing.T, r *router, restrict []int, areaOrder bool, ste
 // LengthExcluding, and the density terms are read from d, a recount of
 // the graphs.
 func oracleKey(t *testing.T, r *router, d *density.State, c candidate) candKey {
-	t.Helper()
 	n, e := int(c.net), int(c.edge)
 	var k candKey
 	if r.cfg.UseConstraints {
@@ -254,8 +334,7 @@ func oracleKey(t *testing.T, r *router, d *density.State, c candidate) candKey {
 			nets = append(nets, m)
 		}
 		// New and current lumped arc delays of each half of the pair.
-		dNew := make([]float64, len(nets))
-		dCur := make([]float64, len(nets))
+		var dNew, dCur [2]float64
 		for i, a := range nets {
 			l, err := r.graphs[a].LengthExcluding(e)
 			if err != nil {
@@ -264,13 +343,11 @@ func oracleKey(t *testing.T, r *router, d *density.State, c candidate) candKey {
 			dNew[i] = r.dg.LumpedArcDelay(a, l)
 			dCur[i] = r.dg.LumpedArcDelay(a, r.wl[a])
 		}
-		seen := make(map[int]bool)
-		for _, a := range nets {
+		for i, a := range nets {
 			for _, p := range r.dg.ConsOfNet(a) {
-				if seen[p] {
-					continue
+				if i == 1 && slices.Contains(r.dg.ConsOfNet(n), p) {
+					continue // counted with the first half
 				}
-				seen[p] = true
 				margin := r.tm.Cons[p].Margin
 				tau := r.ckt.Cons[p].Limit
 				var worst float64

@@ -525,7 +525,8 @@ func (r *router) densFlipBridges(n int, flips []int) {
 // net's constraints dirty through the Timing setters, and Flush re-analyzes
 // exactly that set (ascending constraint order, so cache invalidation
 // stays deterministic) — exact, since the other constraints' arc delays
-// are untouched.
+// are untouched. Callers touch the nets they edited before calling it;
+// touchCons then reaches every net whose criteria read a changed margin.
 func (r *router) refreshTrees(nets []int) error {
 	for _, n := range nets {
 		t, err := r.graphs[n].TentativeInto(r.trees[n])
@@ -543,11 +544,6 @@ func (r *router) refreshTrees(nets []int) error {
 	r.timStat.cons += len(touched)
 	for _, p := range touched {
 		r.touchCons(p)
-	}
-	// The rebuilt nets' own wl/tree changed even if they touch no
-	// constraint (dCur and the d' in-tree shortcut read them).
-	for _, n := range nets {
-		r.touchNet(n)
 	}
 	return nil
 }

@@ -134,15 +134,12 @@ func (g *Graph) VertexOf(ref circuit.PinRef) int {
 	return g.vidx.get(ref)
 }
 
-// NetArcs returns the arc indices of a net, in fan-out order.
-func (g *Graph) NetArcs(net int) []int { return g.netArcs[net] }
-
 // ConsOfNet returns the constraints whose Gd(P) contains an arc of net n.
 func (g *Graph) ConsOfNet(net int) []int { return g.consOfNet[net] }
 
-// InGd reports whether arc a belongs to Gd(P): its tail is reachable from
+// inGd reports whether arc a belongs to Gd(P): its tail is reachable from
 // S_P and its head reaches T_P.
-func (g *Graph) InGd(p, a int) bool {
+func (g *Graph) inGd(p, a int) bool {
 	arc := &g.Arcs[a]
 	return g.cons[p].inS[arc.From] && g.cons[p].toT[arc.To]
 }
@@ -363,7 +360,7 @@ func (g *Graph) buildConstraintMasks() {
 		g.cons[p] = m
 		for n := range g.Ckt.Nets {
 			for _, a := range g.netArcs[n] {
-				if g.InGd(p, a) {
+				if g.inGd(p, a) {
 					g.consOfNet[n] = append(g.consOfNet[n], p)
 					break
 				}
@@ -414,9 +411,9 @@ type Timing struct {
 	ArcDelay []float64
 	Cons     []ConsTiming
 
-	// Dirty-set bookkeeping. Owned by MarkNet/MarkAll/Flush — the bgr-vet
-	// epochs analyzer rejects writes anywhere else, so the affected-
-	// constraint tracking cannot be bypassed by a shortcut write.
+	// Dirty-set bookkeeping, owned by MarkNet/MarkAll/Flush. Every delay
+	// setter must mark what it changes: TestFlushEquivalence fails if a
+	// setter skips MarkNet or MarkNet skips dirtyCount.
 	dirty      []bool
 	dirtyCount int
 	//bgr:owned -- Flush result backing, lent until the next Flush

@@ -26,7 +26,7 @@ func TestGraphShape(t *testing.T) {
 	g := mustGraph(t, ckt)
 	// Every net contributes one arc per fan-out.
 	for n := range ckt.Nets {
-		if got, want := len(g.NetArcs(n)), len(ckt.Fanouts(n)); got != want {
+		if got, want := len(g.netArcs[n]), len(ckt.Fanouts(n)); got != want {
 			t.Errorf("net %s: %d arcs, want %d", ckt.Nets[n].Name, got, want)
 		}
 	}
@@ -252,7 +252,7 @@ func TestSetNetArcDelays(t *testing.T) {
 	tm.SetLumped(make([]float64, len(ckt.Nets)))
 	// Per-sink (Elmore-style) delays on n1's two fan-outs.
 	tm.SetNetArcDelays(1, []float64{10, 90})
-	arcs := g.NetArcs(1)
+	arcs := g.netArcs[1]
 	if tm.ArcDelay[arcs[0]] != 10 || tm.ArcDelay[arcs[1]] != 90 {
 		t.Fatalf("per-sink delays not applied: %v %v", tm.ArcDelay[arcs[0]], tm.ArcDelay[arcs[1]])
 	}

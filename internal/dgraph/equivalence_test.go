@@ -143,11 +143,21 @@ func TestFlushEquivalence(t *testing.T) {
 
 		// Five rounds of sparse net perturbations, flushing after each;
 		// the incremental state must track a fresh full analysis exactly.
+		// Every other perturbation sets per-sink delays, as the Elmore
+		// model does.
 		for round := 0; round < 5; round++ {
 			k := 1 + rng.Intn(4)
 			for i := 0; i < k; i++ {
 				n := rng.Intn(len(ckt.Nets))
-				inc.SetNetLumped(n, 5+rng.Float64()*900)
+				if rng.Intn(2) == 0 {
+					inc.SetNetLumped(n, 5+rng.Float64()*900)
+					continue
+				}
+				perSink := make([]float64, len(ckt.Fanouts(n)))
+				for j := range perSink {
+					perSink[j] = 5 + rng.Float64()*900
+				}
+				inc.SetNetArcDelays(n, perSink)
 			}
 			inc.Flush()
 			checkIdentical(t, g, inc, freshFull(g, inc), "round")

@@ -13,6 +13,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/circuit"
@@ -188,19 +189,25 @@ func arcs(from, to string, t0 float64) []circuit.Arc {
 	return []circuit.Arc{{From: from, To: to, T0: t0}}
 }
 
-// Generate synthesizes a circuit. The result always validates.
+// Generate synthesizes a circuit. The result always validates. It refuses
+// a LimitFactor that is not a positive number and a negative count of
+// pads, differential pairs or constraints.
 func Generate(p Params) (*circuit.Circuit, error) {
 	if p.Cells < 10 || p.Rows < 2 {
 		return nil, fmt.Errorf("gen: need at least 10 cells and 2 rows")
+	}
+	if !(p.LimitFactor > 0) || math.IsInf(p.LimitFactor, 1) {
+		return nil, fmt.Errorf("gen: limit factor %v must be a finite positive number", p.LimitFactor)
+	}
+	if p.PIs < 0 || p.POs < 0 || p.DiffPairs < 0 || p.Constraints < 0 {
+		return nil, fmt.Errorf("gen: negative count: %d PIs, %d POs, %d differential pairs, %d constraints",
+			p.PIs, p.POs, p.DiffPairs, p.Constraints)
 	}
 	if p.AvgFanout <= 0 {
 		p.AvgFanout = 1.5
 	}
 	if p.Locality <= 0 {
 		p.Locality = 20
-	}
-	if p.LimitFactor <= 0 {
-		p.LimitFactor = 1.10
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	g := &builder{p: p, rng: rng, ckt: &circuit.Circuit{

@@ -55,6 +55,30 @@ func TestGenerateValidates(t *testing.T) {
 	}
 }
 
+// TestGenerateRefusesNonsense checks that Generate refuses parameters it
+// cannot honour instead of substituting a default for them.
+func TestGenerateRefusesNonsense(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"zero limit", func(p *Params) { p.LimitFactor = 0 }},
+		{"negative limit", func(p *Params) { p.LimitFactor = -1 }},
+		{"NaN limit", func(p *Params) { p.LimitFactor = math.NaN() }},
+		{"infinite limit", func(p *Params) { p.LimitFactor = math.Inf(1) }},
+		{"negative PIs", func(p *Params) { p.PIs = -1 }},
+		{"negative POs", func(p *Params) { p.POs = -1 }},
+		{"negative pairs", func(p *Params) { p.DiffPairs = -2 }},
+		{"negative constraints", func(p *Params) { p.Constraints = -3 }},
+	} {
+		p, _ := Dataset("C1P1")
+		c.edit(&p)
+		if ckt, err := Generate(p); err == nil {
+			t.Errorf("%s: generated %s instead of refusing", c.name, ckt.Name)
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	p, _ := Dataset("C1P1")
 	a, err := Generate(p)

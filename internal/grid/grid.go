@@ -26,21 +26,12 @@ type Geometry struct {
 	Ckt *circuit.Circuit
 	// Feeds[r] lists the feedthrough slots of row r, sorted by column.
 	Feeds [][]FeedSlot
-	// occupied[r][col] marks columns of row r covered by a non-feed cell.
-	occupied [][]bool
 }
 
 // New builds the geometry of a validated circuit. Feed cells contribute one
 // feedthrough slot per pitch of width.
 func New(ckt *circuit.Circuit) (*Geometry, error) {
-	g := &Geometry{
-		Ckt:      ckt,
-		Feeds:    make([][]FeedSlot, ckt.Rows),
-		occupied: make([][]bool, ckt.Rows),
-	}
-	for r := range g.occupied {
-		g.occupied[r] = make([]bool, ckt.Cols)
-	}
+	g := &Geometry{Ckt: ckt, Feeds: make([][]FeedSlot, ckt.Rows)}
 	for i := range ckt.Cells {
 		cell := &ckt.Cells[i]
 		ct := &ckt.Lib[cell.Type]
@@ -51,11 +42,9 @@ func New(ckt *circuit.Circuit) (*Geometry, error) {
 			continue
 		}
 		for w := 0; w < ct.Width; w++ {
-			col := cell.Col + w
-			if col < 0 || col >= ckt.Cols {
+			if col := cell.Col + w; col < 0 || col >= ckt.Cols {
 				return nil, fmt.Errorf("grid: cell %q column %d outside chip", cell.Name, col)
 			}
-			g.occupied[cell.Row][col] = true
 		}
 	}
 	for r := range g.Feeds {
@@ -79,28 +68,6 @@ func (g *Geometry) SetFlag(row, col, flag int) bool {
 	return false
 }
 
-// ClearFlags resets every feed-slot width flag.
-func (g *Geometry) ClearFlags() {
-	for r := range g.Feeds {
-		for i := range g.Feeds[r] {
-			g.Feeds[r][i].Flag = 0
-		}
-	}
-}
-
-// Occupied reports whether a non-feed cell covers (row, col).
-func (g *Geometry) Occupied(row, col int) bool {
-	if col < 0 || col >= g.Ckt.Cols {
-		return true
-	}
-	return g.occupied[row][col]
-}
-
-// XOf returns the physical x coordinate (µm) of a column center.
-func (g *Geometry) XOf(col int) float64 {
-	return (float64(col) + 0.5) * g.Ckt.Tech.PitchX
-}
-
 // SpanUm returns the physical length (µm) of the column interval
 // [c1, c2] measured center to center.
 func (g *Geometry) SpanUm(c1, c2 int) float64 {
@@ -108,11 +75,6 @@ func (g *Geometry) SpanUm(c1, c2 int) float64 {
 		c1, c2 = c2, c1
 	}
 	return float64(c2-c1) * g.Ckt.Tech.PitchX
-}
-
-// ChipWidthUm returns the chip width in µm.
-func (g *Geometry) ChipWidthUm() float64 {
-	return float64(g.Ckt.Cols) * g.Ckt.Tech.PitchX
 }
 
 // Channels returns the number of routing channels (rows + 1).

@@ -33,26 +33,6 @@ func TestFeedSlotsFound(t *testing.T) {
 	}
 }
 
-func TestOccupied(t *testing.T) {
-	g := mustGeometry(t, circuit.SampleSmall())
-	// b0 (BUF, width 3) occupies row 0 columns 2..4.
-	for col := 2; col <= 4; col++ {
-		if !g.Occupied(0, col) {
-			t.Errorf("row 0 col %d should be occupied by b0", col)
-		}
-	}
-	if g.Occupied(0, 5) {
-		t.Error("row 0 col 5 should be free")
-	}
-	// Feed cells do not count as occupied (they are routing resources).
-	if g.Occupied(0, 13) {
-		t.Error("feed column must not be reported occupied")
-	}
-	if !g.Occupied(0, -1) || !g.Occupied(0, 999) {
-		t.Error("out-of-chip columns must read as occupied")
-	}
-}
-
 func TestFlags(t *testing.T) {
 	g := mustGeometry(t, circuit.SampleSmall())
 	if !g.SetFlag(0, 13, 2) {
@@ -64,26 +44,16 @@ func TestFlags(t *testing.T) {
 	if g.FeedSlots(0)[0].Flag != 2 {
 		t.Fatal("flag not recorded")
 	}
-	g.ClearFlags()
-	if g.FeedSlots(0)[0].Flag != 0 {
-		t.Fatal("ClearFlags did not reset")
-	}
 }
 
 func TestCoordinates(t *testing.T) {
 	ckt := circuit.SampleSmall()
 	g := mustGeometry(t, ckt)
-	if got, want := g.XOf(0), 0.5*ckt.Tech.PitchX; got != want {
-		t.Fatalf("XOf(0) = %v, want %v", got, want)
-	}
 	if got, want := g.SpanUm(3, 7), 4*ckt.Tech.PitchX; got != want {
 		t.Fatalf("SpanUm(3,7) = %v, want %v", got, want)
 	}
 	if got, want := g.SpanUm(7, 3), 4*ckt.Tech.PitchX; got != want {
 		t.Fatalf("SpanUm must be symmetric: %v != %v", got, want)
-	}
-	if got, want := g.ChipWidthUm(), float64(ckt.Cols)*ckt.Tech.PitchX; got != want {
-		t.Fatalf("ChipWidthUm = %v, want %v", got, want)
 	}
 	if g.Channels() != ckt.Rows+1 {
 		t.Fatalf("Channels = %d, want %d", g.Channels(), ckt.Rows+1)

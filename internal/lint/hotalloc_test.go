@@ -49,7 +49,7 @@ outer:
 // line, column, analyzer), field names, indentation. CI and editor
 // integrations parse this; it must not drift silently.
 func TestJSONGolden(t *testing.T) {
-	diags := runFixture(t, "bitset")
+	diags := runFixture(t, "clockuse")
 	abs, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	golden := filepath.Join("testdata", "bitset.golden.json")
+	golden := filepath.Join("testdata", "clockuse.golden.json")
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)

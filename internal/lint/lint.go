@@ -8,14 +8,12 @@
 // with go/types against the toolchain's export data — so the module keeps
 // zero external requirements.
 //
-// Seven analyzers are registered (see docs/LINT.md for the full contract
+// Six analyzers are registered (see docs/LINT.md for the full contract
 // each one guards):
 //
 //   - maporder: `range` over a map in a deterministic package
 //   - floateq:  `==`/`!=` between floating-point operands
 //   - clockuse: time.Now/time.Since/math-rand in a deterministic package
-//   - epochs:   epoch/version cache fields and the selection engine's
-//     dirty-net bitset written outside their owning methods
 //   - locks:    Lock without a paired unlock on every return path
 //   - scratch-escape: a bgr:owned scratch slice or view escaping its
 //     owner (returned, stored elsewhere, or appended so the backing
@@ -143,8 +141,8 @@ var deterministicPkgs = map[string]bool{
 }
 
 // Deterministic reports whether a package is part of the deterministic
-// routing core that maporder, floateq, clockuse, epochs and
-// scratch-escape guard.
+// routing core that maporder, floateq, clockuse and scratch-escape
+// guard.
 func Deterministic(pkgName string) bool { return deterministicPkgs[pkgName] }
 
 // Analyzers returns the full registered suite, in reporting order.
@@ -153,7 +151,6 @@ func Analyzers() []*Analyzer {
 		analyzerMapOrder,
 		analyzerFloatEq,
 		analyzerClockUse,
-		analyzerEpochs,
 		analyzerLocks,
 		analyzerScratchEscape,
 		analyzerHotAlloc,

@@ -91,7 +91,7 @@ func runFixture(t *testing.T, name string) []Diagnostic {
 // `// want` expectations: every diagnostic must be expected, every
 // expectation must fire, and the clean declarations must stay silent.
 func TestFixtures(t *testing.T) {
-	for _, name := range []string{"maporder", "floateq", "clockuse", "epochs", "dirtyset", "locks", "scratch", "bitset", "hotalloc"} {
+	for _, name := range []string{"maporder", "floateq", "clockuse", "locks", "scratch", "hotalloc"} {
 		t.Run(name, func(t *testing.T) {
 			diags := runFixture(t, name)
 			wants := collectWants(t, filepath.Join("testdata", "src", name))
