@@ -75,6 +75,9 @@ func main() {
 	if math.IsNaN(*rPerUm) || math.IsInf(*rPerUm, 0) || *rPerUm < 0 {
 		fatal(fmt.Errorf("-r %v: the wire resistance must be a finite non-negative number", *rPerUm))
 	}
+	if *paths < 0 {
+		fatal(fmt.Errorf("-paths %d: the number of critical paths must not be negative", *paths))
+	}
 
 	ckt, err := load(*in, *dataset)
 	if err != nil {

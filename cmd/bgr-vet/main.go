@@ -1,20 +1,17 @@
 // Command bgr-vet runs the repo-specific determinism-and-invariant static
 // analysis suite (internal/lint) over the given package patterns and
 // exits non-zero when any diagnostic — including a stale //bgr:allow
-// suppression or a stale hotalloc allowlist entry — survives. Exit
-// status 1 means diagnostics; exit status 2 means the run itself failed
-// (load error, escape-analysis build failure, unparsable compiler dump,
-// missing allowlist) and must never be read as a pass.
+// suppression — survives. Exit status 1 means diagnostics; exit status 2
+// means the run itself failed (the packages could not be listed, parsed
+// or type-checked) and must never be read as a pass.
 //
 // Usage:
 //
 //	go run ./cmd/bgr-vet ./...
 //	go run ./cmd/bgr-vet -json ./internal/core
-//	go run ./cmd/bgr-vet -suggest-allow ./...
 //	go run ./cmd/bgr-vet -list
 //
-// See docs/LINT.md for the analyzers, the suppression directive and the
-// hotalloc allowlist workflow.
+// See docs/LINT.md for the analyzers and the suppression directive.
 package main
 
 import (
@@ -31,9 +28,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	dir := flag.String("dir", ".", "directory to resolve package patterns from")
-	hotalloc := flag.Bool("hotalloc", true, "run the compiler-escape-analysis hotalloc gate")
-	allow := flag.String("allow", "", "hotalloc allowlist file (default: <dir>/internal/lint/hotalloc_allow.txt when present)")
-	suggest := flag.Bool("suggest-allow", false, "print the hotalloc allowlist the current tree would need, then exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bgr-vet [flags] [packages]\n\nFlags:\n")
 		flag.PrintDefaults()
@@ -47,34 +41,9 @@ func main() {
 			if a.DeterministicOnly {
 				scope = "deterministic packages"
 			}
-			if a.RunAll != nil {
-				scope = "whole module"
-			}
 			fmt.Printf("%-14s %s (%s)\n", a.Name, a.Doc, scope)
 		}
 		return
-	}
-	if !*hotalloc {
-		kept := analyzers[:0]
-		for _, a := range analyzers {
-			if a.Name != "hotalloc" {
-				kept = append(kept, a)
-			}
-		}
-		analyzers = kept
-	}
-
-	ctx := &lint.Context{Dir: *dir}
-	switch {
-	case *allow != "":
-		// Explicit allowlist: if it does not exist, loadAllowlist fails
-		// the run (exit 2) rather than silently vetting without it.
-		ctx.Allowlist = *allow
-	default:
-		def := filepath.Join(*dir, "internal", "lint", "hotalloc_allow.txt")
-		if _, err := os.Stat(def); err == nil {
-			ctx.Allowlist = def
-		}
 	}
 
 	patterns := flag.Args()
@@ -87,23 +56,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *suggest {
-		lines, err := lint.SuggestAllowlist(ctx, pkgs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bgr-vet: %v\n", err)
-			os.Exit(2)
-		}
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-		return
-	}
-
-	diags, err := lint.Run(ctx, pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bgr-vet: %v\n", err)
-		os.Exit(2)
-	}
+	diags := lint.Run(pkgs, analyzers)
 	if abs, aerr := filepath.Abs(*dir); aerr == nil {
 		lint.Relativize(diags, abs)
 	}

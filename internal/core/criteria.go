@@ -292,8 +292,6 @@ func (r *router) drainDensityChanges(areaOrder bool) {
 // net's best is a pure function of the router state, and the cross-net
 // argmin runs in net-index order, so the result is deterministic. ok is
 // false when no non-bridge edge remains.
-//
-//bgr:hot
 func (r *router) selectEdge(restrict []int, areaOrder bool) (candidate, bool) {
 	start := time.Now() //bgr:allow clockuse -- profiling only: feeds selStats latency counters, never steers selection
 	nNets := len(r.graphs)

@@ -199,12 +199,13 @@ func newRouter(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*router, 
 }
 
 // result packages the finished routing state, checking that every net
-// ended as a tree.
+// ended as a tree, and drops the graphs' scratch workspaces.
 func (r *router) result() (*Result, error) {
 	for n, g := range r.graphs {
 		if !g.IsTree() {
 			return nil, fmt.Errorf("core: net %s did not finish as a tree", r.ckt.Nets[n].Name)
 		}
+		g.DropScratch()
 	}
 	res := &Result{
 		Ckt: r.ckt, Geo: r.geo, Feeds: r.feeds, Graphs: r.graphs,

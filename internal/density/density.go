@@ -97,8 +97,6 @@ func (s *State) rowM(ch int) []int32 { return s.dM[ch*s.cols : (ch+1)*s.cols] }
 func (s *State) rowm(ch int) []int32 { return s.dm[ch*s.cols : (ch+1)*s.cols] }
 
 // Add adds a trunk edge of the given pitch weight spanning [x1, x2).
-//
-//bgr:hot
 func (s *State) Add(ch, x1, x2, w int) {
 	x1, x2 = s.span(ch, x1, x2)
 	row := s.rowM(ch)
@@ -109,8 +107,6 @@ func (s *State) Add(ch, x1, x2, w int) {
 }
 
 // Remove removes a previously added trunk edge.
-//
-//bgr:hot
 func (s *State) Remove(ch, x1, x2, w int) {
 	x1, x2 = s.span(ch, x1, x2)
 	row := s.rowM(ch)
@@ -125,8 +121,6 @@ func (s *State) Remove(ch, x1, x2, w int) {
 
 // AddBridge marks a trunk edge as a bridge (it also remains counted in
 // d_M; bridges are a subset of all edges).
-//
-//bgr:hot
 func (s *State) AddBridge(ch, x1, x2, w int) {
 	x1, x2 = s.span(ch, x1, x2)
 	row := s.rowm(ch)
@@ -137,8 +131,6 @@ func (s *State) AddBridge(ch, x1, x2, w int) {
 }
 
 // RemoveBridge undoes AddBridge.
-//
-//bgr:hot
 func (s *State) RemoveBridge(ch, x1, x2, w int) {
 	x1, x2 = s.span(ch, x1, x2)
 	row := s.rowm(ch)

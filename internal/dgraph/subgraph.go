@@ -264,8 +264,6 @@ func (t *Timing) MarkAll() {
 // Flush re-analyzes exactly the constraints marked dirty since the last
 // Flush and returns their indices in ascending order (the slice is reused
 // by the next Flush).
-//
-//bgr:hot
 func (t *Timing) Flush() []int {
 	if t.dirtyCount == 0 {
 		return nil

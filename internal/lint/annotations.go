@@ -7,43 +7,35 @@ import (
 	"strings"
 )
 
-// Annotation directives mark the code the ownership analyzers enforce:
+// The bgr:owned annotation marks the code the scratch-escape analyzer
+// enforces: on a struct field of slice (or array) type, it declares the
+// field a scratch buffer or view owned by that struct, which must not
+// leak out of its owner.
 //
-//	bgr:hot   — on a function declaration: the function is a hot-path
-//	            entry point; hotalloc forbids unallowlisted heap
-//	            allocations in everything reachable from it.
-//	bgr:owned — on a struct field of slice (or array) type: the field is
-//	            a scratch buffer or view owned by that struct;
-//	            scratch-escape forbids it leaking out of its owner.
-//
-// Both are written as comments ("//" + the directive), either trailing
-// on the annotated line or inside the declaration's doc comment, and
-// optionally carry a note after " -- ". A directive that is malformed
-// or not attached to the right kind of declaration is itself a
-// diagnostic — annotations must not rot into silent no-ops.
+// It is written as a comment ("//" + the directive), either trailing on
+// the annotated line or inside the field's doc comment, and optionally
+// carries a note after " -- ". A directive that is malformed or not
+// attached to a slice-typed struct field is itself a diagnostic —
+// annotations must not rot into silent no-ops.
 
-const (
-	hotPrefix   = "//bgr:hot"
-	ownedPrefix = "//bgr:owned"
-)
+const ownedPrefix = "//bgr:owned"
 
-var annotRE = regexp.MustCompile(`^//bgr:(hot|owned)(?:\s+--\s+\S.*)?$`)
+var annotRE = regexp.MustCompile(`^//bgr:owned(?:\s+--\s+\S.*)?$`)
 
-// annotComments yields the well-formed annotation comments of a file
-// matching the given prefix, reporting malformed ones (right prefix,
-// wrong grammar) under the given analyzer name.
-func annotComments(pkg *Package, f *ast.File, prefix, analyzer string) ([]*ast.Comment, []Diagnostic) {
+// ownedComments yields the well-formed bgr:owned comments of a file,
+// reporting malformed ones (right prefix, wrong grammar).
+func ownedComments(pkg *Package, f *ast.File) ([]*ast.Comment, []Diagnostic) {
 	var out []*ast.Comment
 	var bad []Diagnostic
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimRight(c.Text, " \t")
-			if !strings.HasPrefix(text, prefix) {
+			if !strings.HasPrefix(text, ownedPrefix) {
 				continue
 			}
 			if !annotRE.MatchString(text) {
-				bad = append(bad, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), Analyzer: analyzer,
-					Message: "malformed annotation " + quoteDirective(text) + ": want " + prefix + " or " + prefix + " -- <note>"})
+				bad = append(bad, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "scratch-escape",
+					Message: "malformed annotation " + quoteDirective(text) + ": want " + ownedPrefix + " or " + ownedPrefix + " -- <note>"})
 				continue
 			}
 			out = append(out, c)
@@ -57,45 +49,6 @@ func quoteDirective(text string) string {
 		text = text[:60] + "..."
 	}
 	return "\"" + text + "\""
-}
-
-// hotFuncs collects the bgr:hot annotated functions of a package. The
-// annotation must sit in a function declaration's doc comment or on the
-// declaration's first line; anywhere else it would silently guard
-// nothing, so it is reported.
-func hotFuncs(pkg *Package) (map[*types.Func]bool, []Diagnostic) {
-	out := map[*types.Func]bool{}
-	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		attach := map[int]*ast.FuncDecl{}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			attach[pkg.Fset.Position(fd.Pos()).Line] = fd
-			if fd.Doc != nil {
-				for _, c := range fd.Doc.List {
-					attach[pkg.Fset.Position(c.Pos()).Line] = fd
-				}
-			}
-		}
-		comments, bad := annotComments(pkg, f, hotPrefix, "hotalloc")
-		diags = append(diags, bad...)
-		for _, c := range comments {
-			pos := pkg.Fset.Position(c.Pos())
-			fd := attach[pos.Line]
-			if fd == nil {
-				diags = append(diags, Diagnostic{Pos: pos, Analyzer: "hotalloc",
-					Message: "bgr:hot is not attached to a function declaration: put it in the function's doc comment or on its first line"})
-				continue
-			}
-			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				out[fn] = true
-			}
-		}
-	}
-	return out, diags
 }
 
 // ownedFields collects the bgr:owned annotated struct fields of a
@@ -128,7 +81,7 @@ func ownedFields(pkg *Package) (map[*types.Var]bool, []Diagnostic) {
 			}
 			return true
 		})
-		comments, bad := annotComments(pkg, f, ownedPrefix, "scratch-escape")
+		comments, bad := ownedComments(pkg, f)
 		diags = append(diags, bad...)
 		for _, c := range comments {
 			pos := pkg.Fset.Position(c.Pos())

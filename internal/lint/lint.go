@@ -8,7 +8,7 @@
 // with go/types against the toolchain's export data — so the module keeps
 // zero external requirements.
 //
-// Six analyzers are registered (see docs/LINT.md for the full contract
+// Five analyzers are registered (see docs/LINT.md for the full contract
 // each one guards):
 //
 //   - maporder: `range` over a map in a deterministic package
@@ -18,9 +18,6 @@
 //   - scratch-escape: a bgr:owned scratch slice or view escaping its
 //     owner (returned, stored elsewhere, or appended so the backing
 //     array can reallocate)
-//   - hotalloc: a heap-allocation site (per the compiler's own escape
-//     analysis) reachable from a bgr:hot entry point and absent from
-//     the reasoned allowlist
 //
 // A finding is suppressible only with a reasoned directive on the same
 // line or the line directly above:
@@ -79,18 +76,6 @@ func Relativize(diags []Diagnostic, base string) {
 	}
 }
 
-// Context carries the run-wide inputs of the whole-module analyzers.
-// The zero value disables them gracefully: hotalloc still validates
-// bgr:hot annotations but compiles nothing without a Dir, and an empty
-// Allowlist means no allowlist is consulted.
-type Context struct {
-	// Dir is the directory package patterns were resolved from; the
-	// hotalloc analyzer runs `go build` there.
-	Dir string
-	// Allowlist is the path to the hotalloc allowlist file ("" = none).
-	Allowlist string
-}
-
 // Package is one loaded, parsed and type-checked package.
 type Package struct {
 	Fset       *token.FileSet
@@ -107,11 +92,8 @@ func (p *Package) diag(pos token.Pos, analyzer, format string, args ...any) Diag
 	return Diagnostic{Pos: p.Fset.Position(pos), Analyzer: analyzer, Message: fmt.Sprintf(format, args...)}
 }
 
-// Analyzer is one repo-specific check. Exactly one of Run and RunAll is
-// set: Run inspects one package at a time; RunAll sees the whole loaded
-// package set at once (for cross-package work like call-graph
-// reachability) and may fail hard — a load or toolchain error there must
-// surface as exit status 2, never as a false pass.
+// Analyzer is one repo-specific check; Run inspects one package at a
+// time.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -119,7 +101,6 @@ type Analyzer struct {
 	// packages (see Deterministic).
 	DeterministicOnly bool
 	Run               func(*Package) []Diagnostic
-	RunAll            func(*Context, []*Package) ([]Diagnostic, error)
 }
 
 // deterministicPkgs are the package names forming the deterministic
@@ -153,7 +134,6 @@ func Analyzers() []*Analyzer {
 		analyzerClockUse,
 		analyzerLocks,
 		analyzerScratchEscape,
-		analyzerHotAlloc,
 	}
 }
 
@@ -184,12 +164,12 @@ func parseDirectives(pkg *Package, known map[string]bool) ([]*directive, []Diagn
 					continue
 				}
 				if !strings.HasPrefix(text, directivePrefix) {
-					// bgr:hot / bgr:owned are validated by the analyzers
-					// that consume them; any other verb is a typo that
-					// would otherwise rot silently.
-					if !strings.HasPrefix(text, hotPrefix) && !strings.HasPrefix(text, ownedPrefix) {
+					// bgr:owned is validated by scratch-escape, which
+					// consumes it; any other verb is a typo that would
+					// otherwise rot silently.
+					if !strings.HasPrefix(text, ownedPrefix) {
 						bad = append(bad, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "allow",
-							Message: fmt.Sprintf("unknown bgr directive %s: the known verbs are allow, hot and owned", quoteDirective(text))})
+							Message: fmt.Sprintf("unknown bgr directive %s: the known verbs are allow and owned", quoteDirective(text))})
 					}
 					continue
 				}
@@ -224,16 +204,8 @@ func (dir *directive) matches(d Diagnostic) bool {
 // Run applies the analyzers to every package, resolves suppressions, and
 // returns the surviving diagnostics plus one "allow" diagnostic for every
 // stale or malformed directive, fully ordered by (file, line, column,
-// analyzer, message). Directive matching is global — a suppression works
-// for the whole-module analyzers exactly as for the per-package ones,
-// since both position their findings in the annotated source. A non-nil
-// error means an analyzer could not complete (toolchain failure,
-// unparsable compiler dump); callers must treat it as a failed run, not
-// a clean one.
-func Run(ctx *Context, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if ctx == nil {
-		ctx = &Context{}
-	}
+// analyzer, message).
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -243,7 +215,7 @@ func Run(ctx *Context, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, er
 	for _, pkg := range pkgs {
 		det := Deterministic(pkg.Name)
 		for _, a := range analyzers {
-			if a.Run == nil || (a.DeterministicOnly && !det) {
+			if a.DeterministicOnly && !det {
 				continue
 			}
 			raw = append(raw, a.Run(pkg)...)
@@ -251,16 +223,6 @@ func Run(ctx *Context, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, er
 		pd, bad := parseDirectives(pkg, known)
 		dirs = append(dirs, pd...)
 		out = append(out, bad...)
-	}
-	for _, a := range analyzers {
-		if a.RunAll == nil {
-			continue
-		}
-		ds, err := a.RunAll(ctx, pkgs)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		raw = append(raw, ds...)
 	}
 	for _, d := range raw {
 		suppressed := false
@@ -281,7 +243,7 @@ func Run(ctx *Context, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, er
 		}
 	}
 	Sort(out)
-	return out, nil
+	return out
 }
 
 // Sort orders diagnostics by (file, line, column, analyzer, message) —

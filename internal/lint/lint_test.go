@@ -2,6 +2,8 @@ package lint
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,16 +76,10 @@ func collectWants(t *testing.T, dir string) []*want {
 	return wants
 }
 
-// runFixture applies the full suite to one fixture package. The Context
-// points Dir at this directory so the hotalloc fixture can compile; the
-// other fixtures have no bgr:hot roots and skip the compile entirely.
+// runFixture applies the full suite to one fixture package.
 func runFixture(t *testing.T, name string) []Diagnostic {
 	t.Helper()
-	diags, err := Run(&Context{Dir: "."}, loadFixture(t, name), Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
+	return Run(loadFixture(t, name), Analyzers())
 }
 
 // TestFixtures runs the full suite over each analyzer's golden fixture
@@ -91,7 +87,7 @@ func runFixture(t *testing.T, name string) []Diagnostic {
 // `// want` expectations: every diagnostic must be expected, every
 // expectation must fire, and the clean declarations must stay silent.
 func TestFixtures(t *testing.T) {
-	for _, name := range []string{"maporder", "floateq", "clockuse", "locks", "scratch", "hotalloc"} {
+	for _, name := range []string{"maporder", "floateq", "clockuse", "locks", "scratch"} {
 		t.Run(name, func(t *testing.T) {
 			diags := runFixture(t, name)
 			wants := collectWants(t, filepath.Join("testdata", "src", name))
@@ -158,6 +154,65 @@ outer:
 	}
 }
 
+// TestAnnotationRot checks that a bgr:owned directive that is malformed,
+// misattached, or typed wrong is itself a diagnostic — an annotation that
+// silently guards nothing is worse than none. The
+// expectations are substrings rather than // want comments because the
+// diagnostics land on the directive lines, where a trailing want comment
+// would become part of the directive text.
+func TestAnnotationRot(t *testing.T) {
+	diags := runFixture(t, "annot")
+	expect := []string{
+		"bgr:owned field must be slice- or array-typed",
+		`malformed annotation "//bgr:owned stuff"`,
+		"bgr:owned is not attached to a struct field",
+	}
+	var extra []Diagnostic
+outer:
+	for _, d := range diags {
+		for i, sub := range expect {
+			if sub != "" && strings.Contains(d.Message, sub) {
+				expect[i] = ""
+				continue outer
+			}
+		}
+		extra = append(extra, d)
+	}
+	for _, sub := range expect {
+		if sub != "" {
+			t.Errorf("no diagnostic containing %q (got %v)", sub, diags)
+		}
+	}
+	for _, d := range extra {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}
+
+// TestJSONGolden pins the -json output byte for byte: ordering (file,
+// line, column, analyzer), field names, indentation. CI and editor
+// integrations parse this; it must not drift silently.
+func TestJSONGolden(t *testing.T) {
+	diags := runFixture(t, "clockuse")
+	abs, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	Relativize(diags, abs)
+	got, err := json.MarshalIndent(diags, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "clockuse.golden.json")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("JSON output drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
 // TestLoadCache pins the per-process load memoization: repeating the
 // same (dir, patterns) request must return the identical packages, not a
 // re-parsed copy, so fixture-heavy test runs pay for go list and the
@@ -170,6 +225,19 @@ func TestLoadCache(t *testing.T) {
 	}
 	if first[0].Fset != second[0].Fset {
 		t.Fatal("repeated Load rebuilt the shared FileSet")
+	}
+}
+
+// TestLoadFailsOnBadPattern pins bgr-vet's exit-2 contract: a pattern
+// that go list rejects fails the load, and bgr-vet exits 2, instead of
+// vetting nothing and reporting a clean run.
+func TestLoadFailsOnBadPattern(t *testing.T) {
+	pkgs, err := Load(".", "./testdata/src/absent")
+	if err == nil {
+		t.Fatalf("Load of a missing directory returned %d packages and no error", len(pkgs))
+	}
+	if !strings.Contains(err.Error(), "go list") {
+		t.Fatalf("Load error %q does not name the go list failure", err)
 	}
 }
 
@@ -197,11 +265,7 @@ func TestRepositoryClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("loaded no packages")
 	}
-	ctx := &Context{Dir: "../..", Allowlist: "hotalloc_allow.txt"}
-	diags, err := Run(ctx, pkgs, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := Run(pkgs, Analyzers())
 	var msgs []string
 	for _, d := range diags {
 		msgs = append(msgs, d.String())

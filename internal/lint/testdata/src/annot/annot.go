@@ -1,7 +1,7 @@
-// Fixture for annotation rot: every bgr:hot / bgr:owned directive in
-// this file is malformed or misattached, and each one must surface as a
-// diagnostic instead of silently guarding nothing. The expectations live
-// in TestAnnotationRot (substring assertions, not // want comments: the
+// Fixture for annotation rot: every bgr:owned directive in this file is
+// malformed or misattached, and each one must surface as a diagnostic
+// instead of silently guarding nothing. The expectations live in
+// TestAnnotationRot (substring assertions, not // want comments: the
 // diagnostics land on the directive lines themselves, where a trailing
 // want comment would change the directive text).
 package core
@@ -16,14 +16,6 @@ type ws struct {
 	buf []byte
 }
 
-//bgr:hot now
-func almostHot() {}
-
-func body() int {
-	//bgr:hot
-	return 0
-}
-
 //bgr:owned stuff
 var global []int
 
@@ -33,7 +25,5 @@ func stray() int {
 }
 
 var _ = ws{}
-var _ = almostHot
-var _ = body
 var _ = global
 var _ = stray

@@ -19,9 +19,10 @@
 package rgraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/grid"
@@ -131,8 +132,6 @@ func Build(ckt *circuit.Circuit, geo *grid.Geometry, net int, feeds []FeedPos) (
 // search builds and discards candidate graphs in a loop; recycling them
 // keeps that path off the allocator. recycled must not be in use anywhere
 // else — its previous contents are destroyed.
-//
-//bgr:hot
 func BuildInto(recycled *Graph, ckt *circuit.Circuit, geo *grid.Geometry, net int, feeds []FeedPos) (*Graph, error) {
 	g := recycled
 	if g == nil {
@@ -197,12 +196,7 @@ func BuildInto(recycled *Graph, ckt *circuit.Circuit, geo *grid.Geometry, net in
 			return nil, fmt.Errorf("rgraph: net %q crosses row %d but has no feedthrough there", ckt.Nets[net].Name, r)
 		}
 	}
-	sort.Slice(spines, func(i, j int) bool {
-		if spines[i].ch != spines[j].ch {
-			return spines[i].ch < spines[j].ch
-		}
-		return spines[i].col < spines[j].col
-	})
+	slices.SortFunc(spines, compareSpines)
 	spines = dedupSpines(spines)
 	g.ws.spines = spines
 	// Reserve the vertex, edge and adjacency arrays in one shot so a fresh
@@ -221,12 +215,8 @@ func BuildInto(recycled *Graph, ckt *circuit.Circuit, geo *grid.Geometry, net in
 	// spineVert answers (channel, col) → vertex; spine vertex ids are
 	// allocated first and in spines order.
 	spineVert := func(ch, col int) int {
-		return sort.Search(len(spines), func(i int) bool {
-			if spines[i].ch != ch {
-				return spines[i].ch > ch
-			}
-			return spines[i].col >= col
-		})
+		i, _ := slices.BinarySearchFunc(spines, spinePt{ch, col}, compareSpines)
+		return i
 	}
 
 	// Spine vertices and trunk edges.
@@ -267,13 +257,21 @@ func BuildInto(recycled *Graph, ckt *circuit.Circuit, geo *grid.Geometry, net in
 		return nil, fmt.Errorf("rgraph: net %q routing graph is disconnected", ckt.Nets[net].Name)
 	}
 	g.RecomputeBridges()
-	g.Prune(nil)
+	g.ws.removed = g.Prune(g.ws.removed[:0])
 	return g, nil
 }
 
 // spinePt is a (channel, column) spine location used during Build.
 type spinePt struct {
 	ch, col int
+}
+
+// compareSpines orders spine points by channel, then column.
+func compareSpines(a, b spinePt) int {
+	if c := cmp.Compare(a.ch, b.ch); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.col, b.col)
 }
 
 // dedupSpines removes adjacent duplicates from a sorted spine list.
@@ -342,6 +340,13 @@ func (g *Graph) buildAdj() {
 	}
 }
 
+// DropScratch releases the scratch workspace of a graph whose routing has
+// finished, keeping its terminal marks: the graph stays fully usable, and
+// a method that needs scratch again sizes it on first use. A route's
+// result holds its graphs for as long as the caller does, and the
+// workspace would otherwise stay with them.
+func (g *Graph) DropScratch() { g.ws = dijkstraWS{isTerm: g.ws.isTerm} }
+
 // Clone deep-copies the graph (used by ECO re-optimization so the new
 // routing can diverge without touching the old result). The clone gets a
 // fresh shortest-path workspace: sharing one would race.
@@ -395,14 +400,8 @@ func (g *Graph) AppendNonBridges(dst []int32) []int32 {
 // AliveCount returns the number of alive edges.
 func (g *Graph) AliveCount() int { return g.alive }
 
-func (g *Graph) other(e, v int) int {
-	if g.Edges[e].U == v {
-		return g.Edges[e].V
-	}
-	return g.Edges[e].U
-}
-
-// other32 is other over the compact int32 ids the hot loops traffic in.
+// other32 returns the end of edge e opposite v, over the compact int32
+// ids the hot loops traffic in.
 func (g *Graph) other32(e, v int32) int32 {
 	if int32(g.Edges[e].U) == v {
 		return int32(g.Edges[e].V)
@@ -420,18 +419,14 @@ func (g *Graph) degree(v int) int {
 	return d
 }
 
+// connectedFromAlive reports whether the alive edges connect every
+// terminal and every vertex they touch. Visited vertices carry the
+// workspace's generation stamp, and pruneq serves as the DFS stack.
 func (g *Graph) connectedFromAlive() bool {
 	start := -1
 	need := 0
-	touched := make([]bool, len(g.Verts))
-	for i := range g.Edges {
-		if g.Edges[i].Alive {
-			touched[g.Edges[i].U] = true
-			touched[g.Edges[i].V] = true
-		}
-	}
 	for v := range g.Verts {
-		if touched[v] || g.Verts[v].Kind == VTerm {
+		if g.Verts[v].Kind == VTerm || g.degree(v) > 0 {
 			need++
 			if start == -1 {
 				start = v
@@ -441,10 +436,11 @@ func (g *Graph) connectedFromAlive() bool {
 	if start == -1 {
 		return true
 	}
-	seen := make([]bool, len(g.Verts))
-	seen[start] = true
+	w := &g.ws
+	w.reset(len(g.Verts))
+	w.stamp[start] = w.gen
 	count := 1
-	stack := []int{start}
+	stack := append(w.pruneq[:0], int32(start))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -452,14 +448,14 @@ func (g *Graph) connectedFromAlive() bool {
 			if !g.Edges[e].Alive {
 				continue
 			}
-			w := g.other(int(e), v)
-			if !seen[w] {
-				seen[w] = true
+			if u := g.other32(e, v); w.stamp[u] != w.gen {
+				w.stamp[u] = w.gen
 				count++
-				stack = append(stack, w)
+				stack = append(stack, u)
 			}
 		}
 	}
+	w.pruneq = stack[:0]
 	return count == need
 }
 

@@ -1,6 +1,7 @@
 package rgraph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -377,5 +378,64 @@ func TestFinalTreeMatchesAliveEdges(t *testing.T) {
 	}
 	if math.Abs(ft.Length-tt.Length) > 1e-9 {
 		t.Fatalf("finished net: tentative %v != final %v", tt.Length, ft.Length)
+	}
+}
+
+// TestDropScratchKeepsGraphUsable checks that a graph whose workspace was
+// dropped answers every workspace-backed query exactly as a twin that kept
+// its workspace: tentative trees, d′ lengths, Elmore delays, validation,
+// and a deletion with its bridge update.
+func TestDropScratchKeepsGraphUsable(t *testing.T) {
+	ckt := circuit.SampleSmall()
+	_, graphs := buildAll(t, ckt)
+	for n, g := range graphs {
+		twin := g.Clone()
+		g.DropScratch()
+		for _, h := range []*Graph{g, twin} {
+			if err := h.Validate(); err != nil {
+				t.Fatalf("net %d: %v", n, err)
+			}
+		}
+		want, err := twin.Tentative()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.Tentative()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Length != want.Length || len(got.Edges) != len(want.Edges) {
+			t.Fatalf("net %d: tentative tree %v/%d edges after DropScratch, want %v/%d", n, got.Length, len(got.Edges), want.Length, len(want.Edges))
+		}
+		wd, gd := twin.ElmoreDelays(want, ckt, 0.0005), g.ElmoreDelays(got, ckt, 0.0005)
+		for i := range wd {
+			if gd[i] != wd[i] {
+				t.Fatalf("net %d sink %d: Elmore delay %v after DropScratch, want %v", n, i, gd[i], wd[i])
+			}
+		}
+		cands := g.NonBridges()
+		for _, e := range cands {
+			wl, werr := twin.LengthExcluding(e)
+			gl, gerr := g.LengthExcluding(e)
+			if gl != wl || (gerr == nil) != (werr == nil) {
+				t.Fatalf("net %d edge %d: d′ %v (%v) after DropScratch, want %v (%v)", n, e, gl, gerr, wl, werr)
+			}
+		}
+		if len(cands) == 0 {
+			continue
+		}
+		g.DropScratch()
+		gr, err := g.Delete(cands[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, err := twin.Delete(cands[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		gf, wf := g.RecomputeBridges(), twin.RecomputeBridges()
+		if fmt.Sprint(gr, gf) != fmt.Sprint(wr, wf) {
+			t.Fatalf("net %d: deletion removed/flipped %v %v after DropScratch, want %v %v", n, gr, gf, wr, wf)
+		}
 	}
 }

@@ -74,12 +74,12 @@ func (q *pq) pop() pqItem {
 
 // dijkstraWS is the per-graph scratch space reused across every hot
 // per-deletion computation: Dijkstra shortest paths, bridge recomputation,
-// prune sweeps and Elmore walks. It is sized once when the graph is built
-// (initWS), so the steady-state route loop never calls make. Vertex state
-// is invalidated in O(1) by bumping a generation counter; entries are live
+// prune sweeps and Elmore walks. init sizes it when the graph is built,
+// so the steady-state route loop never calls make. Vertex state is
+// invalidated in O(1) by bumping a generation counter; entries are live
 // only when their stamp matches the current generation. A Graph's methods
 // share this workspace, so a Graph must not be used from two goroutines
-// concurrently (the router shards work by net, which guarantees that).
+// concurrently.
 type dijkstraWS struct {
 	//bgr:owned
 	dist []float64
@@ -109,14 +109,15 @@ type dijkstraWS struct {
 
 	// Delete/Prune scratch. removed is the result buffer returned by
 	// Delete (overwritten by the next Delete on this graph); pruneq is the
-	// dangling-stub work list.
+	// dangling-stub work list and connectedFromAlive's DFS stack.
 	removed []int
 	pruneq  []int32
 
 	// Build scratch: the sorted spine-point list, the per-row
 	// feedthrough-coverage marks, and the terminal/position buffers, all
-	// reused across BuildInto rebuilds. posOff[i]:posOff[i+1] delimits
-	// terminal i's positions within posBuf.
+	// reused across BuildInto rebuilds (ElmoreDelaysInto reads the
+	// terminals into terms too). posOff[i]:posOff[i+1] delimits terminal
+	// i's positions within posBuf.
 	spines  []spinePt
 	covered []bool
 	terms   []circuit.PinRef
@@ -154,6 +155,9 @@ func (w *dijkstraWS) init(g *Graph) {
 		w.disc = make([]int32, nV)
 		w.low = make([]int32, nV)
 		w.gen = 0
+		// Each vertex enters a prune queue or a DFS stack at most once.
+		w.pruneq = make([]int32, 0, nV)
+		w.frames = make([]bridgeFrame, 0, nV)
 	}
 	if cap(w.isTerm) < nV {
 		w.isTerm = make([]bool, nV)
@@ -167,6 +171,8 @@ func (w *dijkstraWS) init(g *Graph) {
 	}
 	if cap(w.newBridge) < nE {
 		w.newBridge = make([]bool, nE)
+		w.removed = make([]int, 0, nE)
+		w.flipped = make([]int, 0, nE)
 	}
 	if cap(w.edgeStamp) < nE {
 		w.edgeStamp = make([]uint32, nE)
@@ -245,8 +251,6 @@ func (g *Graph) Tentative() (*Tree, error) {
 // be nil). The returned tree aliases prev's slices when they fit, so prev
 // must not be read afterwards — the router's per-deletion tree refresh
 // would otherwise allocate three slices per deletion.
-//
-//bgr:hot
 func (g *Graph) TentativeInto(prev *Tree) (*Tree, error) {
 	return g.tentativeCostInto(nil, prev)
 }
@@ -361,6 +365,9 @@ func (g *Graph) tentativeCostInto(cost func(e int) float64, prev *Tree) (*Tree, 
 	} else {
 		t.SinkDist = make([]float64, len(g.TermVert))
 	}
+	if cap(t.Edges) < len(g.Edges) {
+		t.Edges = make([]int, 0, len(g.Edges))
+	}
 	t.Edges = t.Edges[:0]
 	t.Length = 0
 	for ti, tv := range g.TermVert {
@@ -435,8 +442,9 @@ func (g *Graph) ElmoreDelays(t *Tree, ckt *circuit.Circuit, rPerUm float64) []fl
 // router's per-refresh delay derivation does not allocate.
 func (g *Graph) ElmoreDelaysInto(dst []float64, t *Tree, ckt *circuit.Circuit, rPerUm float64) []float64 {
 	capPerUm := ckt.Tech.WireCapPerUm(g.Pitch)
-	terms := ckt.Terminals(g.Net)
 	w := &g.ws
+	terms := ckt.AppendTerminals(w.terms[:0], g.Net)
+	w.terms = terms
 	nV := len(g.Verts)
 
 	// CSR adjacency restricted to tree edges: count, prefix-sum, fill.
@@ -459,8 +467,8 @@ func (g *Graph) ElmoreDelaysInto(dst []float64, t *Tree, ckt *circuit.Circuit, r
 	for v := 0; v < nV; v++ {
 		start[v+1] += start[v]
 	}
-	if cap(w.elmEdges) < 2*len(t.Edges) {
-		w.elmEdges = make([]int32, 2*len(t.Edges))
+	if cap(w.elmEdges) < 2*len(g.Edges) {
+		w.elmEdges = make([]int32, 2*len(g.Edges))
 	}
 	edges := w.elmEdges[:2*len(t.Edges)]
 	fill := w.elmParent[:nV] // borrow as the running CSR cursor
