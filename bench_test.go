@@ -450,68 +450,3 @@ func BenchmarkIteratedECO(b *testing.B) {
 	b.ReportMetric(prev.Delay, "before_ps")
 	b.ReportMetric(delay, "after_ps")
 }
-
-// BenchmarkSelectEdge measures one full §3.4 candidate-selection sweep on
-// a probe router: cold (every net rescored) and warm (every score served
-// from the incremental per-net cache).
-func BenchmarkSelectEdge(b *testing.B) {
-	for _, name := range []string{"C1P1", "C3P1"} {
-		ckt := mustDataset(b, name)
-		b.Run(name+"/cold", func(b *testing.B) {
-			p, err := core.NewProbe(ckt, core.Config{UseConstraints: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm one cold sweep: the per-net criteria caches are lazily
-			// sized on first touch, and measuring that one-time growth
-			// would misreport the steady state.
-			p.InvalidateAll()
-			p.SelectEdge(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.InvalidateAll()
-				if _, _, ok := p.SelectEdge(false); !ok {
-					b.Fatal("no candidate")
-				}
-			}
-		})
-		b.Run(name+"/warm", func(b *testing.B) {
-			p, err := core.NewProbe(ckt, core.Config{UseConstraints: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.SelectEdge(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, ok := p.SelectEdge(false); !ok {
-					b.Fatal("no candidate")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDPrime measures d′ over every candidate edge of every net as
-// delay-criteria scoring computes it: one tentative-length Dijkstra run
-// per tentative-tree edge, the current length for any other edge.
-func BenchmarkDPrime(b *testing.B) {
-	for _, name := range []string{"C1P1", "C3P1"} {
-		ckt := mustDataset(b, name)
-		b.Run(name, func(b *testing.B) {
-			p, err := core.NewProbe(ckt, core.Config{UseConstraints: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.DPrimeSweep() // size every graph's Dijkstra workspace
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += p.DPrimeSweep()
-			}
-			_ = sink
-		})
-	}
-}

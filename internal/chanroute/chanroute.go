@@ -116,18 +116,12 @@ type iv struct{ lo, hi int }
 // the per-channel bucket slices are allocated once per Extract instead of
 // once per net.
 type extractWS struct {
-	//bgr:owned
-	terms []circuit.PinRef
-	//bgr:owned -- trunk intervals per channel
-	trunks [][]iv
-	//bgr:owned -- pins per channel
-	chanPin [][]Pin
-	//bgr:owned
+	terms   []circuit.PinRef
+	trunks  [][]iv  // trunk intervals per channel
+	chanPin [][]Pin // pins per channel
 	usedPin [][]bool
-	//bgr:owned
-	merged []iv
-	//bgr:owned
-	cols []int
+	merged  []iv
+	cols    []int
 }
 
 // extractNet walks one net's alive edges and appends its segments (one per

@@ -90,6 +90,34 @@ func TestSolveBreaksVCGCycleWithDogleg(t *testing.T) {
 	}
 }
 
+// TestSolveWaivedCyclePlacesEverySegment routes a channel whose
+// constraint cycle no dogleg can split, so Solve gives up and packs by
+// pure left edge, and then keeps packing the segments that remain. Nets
+// 0 and 1 span adjacent columns, each above the other; net 3 lies above
+// net 0 and net 2 above net 3. Every segment must still get its own
+// track: the give-up path copies the unplaced segments into its
+// candidate buffer, and aliasing the two reused buffers instead loses
+// net 2's segment.
+func TestSolveWaivedCyclePlacesEverySegment(t *testing.T) {
+	ch := &Channel{Segments: []*Segment{
+		seg(0, 0, 1, Pin{Col: 0, FromTop: true}, Pin{Col: 1, FromTop: false}),
+		seg(1, 0, 1, Pin{Col: 0, FromTop: false}, Pin{Col: 1, FromTop: true}),
+		seg(2, 1, 2, Pin{Col: 2, FromTop: true}),
+		seg(3, 1, 2, Pin{Col: 1, FromTop: true}, Pin{Col: 2, FromTop: false}),
+	}}
+	Solve(ch)
+	if ch.Tracks != 4 || ch.VCGViolations != 4 {
+		t.Fatalf("tracks = %d, violations = %d; want 4 and 4", ch.Tracks, ch.VCGViolations)
+	}
+	seen := map[int]bool{}
+	for _, s := range ch.Segments {
+		if s.Track < 0 || s.Track >= ch.Tracks || seen[s.Track] {
+			t.Errorf("net %d got track %d", s.Net, s.Track)
+		}
+		seen[s.Track] = true
+	}
+}
+
 func TestSolveStraightThroughNoTrack(t *testing.T) {
 	ch := &Channel{Segments: []*Segment{
 		seg(0, 4, 4, Pin{Col: 4, FromTop: true}, Pin{Col: 4, FromTop: false}),

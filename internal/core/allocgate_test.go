@@ -131,9 +131,14 @@ func TestAllocGate(t *testing.T) {
 	}
 }
 
-// mallocs returns the number of heap allocations made while f runs.
+// mallocs returns the number of heap allocations made while f runs. It
+// collects garbage first: a collection still running when f starts
+// sometimes added one allocation f never made (about one gate run in 40
+// failed that way), and after a finished collection an f that allocates
+// nothing cannot start another.
 func mallocs(f func()) uint64 {
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
@@ -141,7 +146,7 @@ func mallocs(f func()) uint64 {
 }
 
 // genDataset generates one of the paper's data sets.
-func genDataset(t *testing.T, name string) *circuit.Circuit {
+func genDataset(t testing.TB, name string) *circuit.Circuit {
 	t.Helper()
 	p, err := gen.Dataset(name)
 	if err != nil {

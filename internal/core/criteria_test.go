@@ -11,7 +11,7 @@ import (
 
 // newTestRouter builds the router state (feed assignment, graphs, timing,
 // density) without running any routing phase.
-func newTestRouter(t *testing.T, ckt *circuit.Circuit, cfg Config) *router {
+func newTestRouter(t testing.TB, ckt *circuit.Circuit, cfg Config) *router {
 	t.Helper()
 	r, err := newRouter(context.Background(), ckt, cfg)
 	if err != nil {
@@ -43,6 +43,58 @@ func TestPenFunction(t *testing.T) {
 	if diff := pen(-1e-12, tau) - pen(1e-12, tau); math.Abs(diff) > 1e-9 {
 		t.Fatalf("pen discontinuous at 0: %v", diff)
 	}
+}
+
+// TestPenaltyFiniteOnTinyLimits routes the five data sets with every
+// constraint limit scaled by 0.001, to at most 2 ps, as a ps/ns slip in
+// a submitted circuit gives them; circuit.Validate accepts them. Margins
+// then pass -700τ, and every Gl the route scores must still be a number:
+// with an uncapped pen, thousands are NaN. The check runs at every point
+// the router asks its context, which covers every selection.
+func TestPenaltyFiniteOnTinyLimits(t *testing.T) {
+	for _, name := range []string{"C1P1", "C1P2", "C2P1", "C2P2", "C3P1"} {
+		t.Run(name, func(t *testing.T) {
+			ckt := genDataset(t, name)
+			for p := range ckt.Cons {
+				ckt.Cons[p].Limit *= 0.001
+			}
+			r := newTestRouter(t, ckt, Config{UseConstraints: true})
+			ctx := &nanCtx{Context: context.Background(), t: t, r: r}
+			r.ctx = ctx
+			if err := r.runPhase("initial", r.initialRouting); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.improve(routePhases); err != nil {
+				t.Fatal(err)
+			}
+			if ctx.scored == 0 {
+				t.Fatal("the route scored no constrained candidate")
+			}
+		})
+	}
+}
+
+// nanCtx fails its test when a scored delay-criteria entry holds a NaN
+// Gl, and counts the scored entries it saw. It never cancels.
+type nanCtx struct {
+	context.Context
+	t      *testing.T
+	r      *router
+	scored int
+}
+
+func (c *nanCtx) Err() error {
+	for n, line := range c.r.dcCache {
+		for e := range line {
+			if math.IsNaN(line[e].gl) {
+				c.t.Fatalf("net %d edge %d: Gl is NaN", n, e)
+			}
+			if line[e].tim != 0 {
+				c.scored++
+			}
+		}
+	}
+	return nil
 }
 
 func TestDPrimeMatchesLengthExcluding(t *testing.T) {

@@ -244,8 +244,10 @@ func (r *router) reallocFeeds(nets []int) [][]rgraph.FeedPos {
 		}
 		return true
 	}
-	_, _, center := feed.ChannelSpan(r.ckt, primary)
-	target := center
+	if r.feedCenter[primary] < 0 {
+		_, _, r.feedCenter[primary] = feed.ChannelSpan(r.ckt, primary)
+	}
+	target := r.feedCenter[primary]
 	alt := make([]rgraph.FeedPos, 0, len(cur))
 	moved := false
 	for _, f := range cur {

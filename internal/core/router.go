@@ -34,6 +34,10 @@ type router struct {
 	// per candidate slot, so it must be an O(1) array read.
 	slotOwner []int32
 	slotCols  int
+	// feedCenter[n] is net n's §3.1 feed search center, its mean terminal
+	// column, or -1 until the net's first feed move computes it. Routing
+	// never moves a terminal, so it holds for the whole route.
+	feedCenter []int
 
 	// Criteria cache (see criteria.go). timEpoch[n] starts at 1 and
 	// advances whenever anything net n's criteria read changes: its own
@@ -71,11 +75,9 @@ type router struct {
 
 	// Hot-path scratch buffers, each owned by exactly one (non-reentrant)
 	// method and sized once; see docs/PERF.md for the ownership rules.
-	//bgr:owned -- applyNetDelay: Elmore wire delays
-	elmBuf []float64
-	//bgr:owned -- applyNetDelay: per-arc delays
-	perBuf   []float64
-	chanMark []int32 // refreshCandidates channel dedup stamps
+	elmBuf   []float64 // applyNetDelay: Elmore wire delays
+	perBuf   []float64 // applyNetDelay: per-arc delays
+	chanMark []int32   // refreshCandidates channel dedup stamps
 	chanGen  int32
 
 	// graphPool is a free list of retired routing graphs whose storage
@@ -170,8 +172,8 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 // starts from: the net ordering for feedthrough assignment (§3.1),
 // feedthrough assignment itself, the delay graph and the routing graphs,
 // timing and density (setup). It stops before the first phase. RouteCtx
-// and NewProbe both start here, so the probe measures exactly the state
-// Route routes.
+// and the package's tests and benchmarks start here, so a benchmark of
+// one selection sweep measures exactly the state Route routes.
 func newRouter(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*router, error) {
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -412,6 +414,10 @@ func (r *router) initState(graphs []*rgraph.Graph) error {
 	r.slotOwner = make([]int32, r.ckt.Rows*r.ckt.Cols)
 	for i := range r.slotOwner {
 		r.slotOwner[i] = -1
+	}
+	r.feedCenter = make([]int, nNets)
+	for n := range r.feedCenter {
+		r.feedCenter[n] = -1
 	}
 	r.consMark = make([]int, len(r.ckt.Cons))
 	r.chanMark = make([]int32, r.dens.Channels())
@@ -663,13 +669,23 @@ func (r *router) penaltyTotal() float64 {
 }
 
 // pen is the paper's penalty function: 1 - x/τ for x >= 0, exp(-x/τ) for
-// x < 0.
+// x < 0. The exponent is capped at maxPenExp so every finite margin gives
+// a finite penalty: past exp(709) both terms of eq. 4's pen(lm) - pen(M)
+// would be +Inf and their difference NaN, which keyLess reads as a tie.
 func pen(x, tau float64) float64 {
 	if x >= 0 {
 		return 1 - x/tau
 	}
-	return math.Exp(-x / tau)
+	e := -x / tau
+	if e > maxPenExp {
+		e = maxPenExp
+	}
+	return math.Exp(e)
 }
+
+// maxPenExp caps pen's exponent. It acts only on margins below -700τ,
+// such as a limit given in ns where ps were meant.
+const maxPenExp = 700
 
 // The §3.5 phase names in Fig. 2 order (lines 08, 09, 10): RouteCtx runs
 // the phases as routePhases, ReOptimize as ecoPhases.

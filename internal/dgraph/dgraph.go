@@ -416,8 +416,7 @@ type Timing struct {
 	// setter skips MarkNet or MarkNet skips dirtyCount.
 	dirty      []bool
 	dirtyCount int
-	//bgr:owned -- Flush result backing, lent until the next Flush
-	flushBuf []int
+	flushBuf   []int // Flush result backing, lent until the next Flush
 
 	// netSeen/netGen are the CriticalNets dedup scratch: a nets-aligned
 	// mark slice with a generation counter (no per-call map allocation).

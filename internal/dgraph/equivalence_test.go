@@ -165,6 +165,39 @@ func TestFlushEquivalence(t *testing.T) {
 	}
 }
 
+// TestCriticalNetsSurviveFlush pins that CriticalNets returns a slice its
+// caller owns. The router's delay phases walk a constraint's critical
+// nets while every reroute flushes the timing, so a result built in the
+// Timing's reused flush buffer would change the nets the walk visits.
+func TestCriticalNetsSurviveFlush(t *testing.T) {
+	p, err := gen.Dataset("C1P1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt, err := gen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := dgraph.New(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := g.NewTiming()
+	tm.SetLumped(lumped(len(ckt.Nets), 1))
+	tm.Flush()
+	for c := range tm.Cons {
+		nets := tm.CriticalNets(c)
+		want := append([]int(nil), nets...)
+		tm.SetLumped(lumped(len(ckt.Nets), float64(2+c%2)))
+		tm.Flush()
+		for i := range want {
+			if nets[i] != want[i] {
+				t.Fatalf("cons %d: critical nets %v became %v after a Flush", c, want, nets)
+			}
+		}
+	}
+}
+
 // TestFlushEquivalenceWorkers runs five identical perturb-and-flush
 // timelines from five goroutines at once, each on its own delay graph and
 // Timing (run with -race in CI): they must agree bit for bit.

@@ -47,10 +47,9 @@ type subgraph struct {
 	// nets lists the nets with at least one arc in the subgraph,
 	// ascending; net nets[i]'s local arc ids are
 	// netArcIdx[netStart[i]:netStart[i+1]], in fan-out order.
-	nets     []int32
-	netStart []int32
-	//bgr:owned -- netArcsLocal lends subslice views of it
-	netArcIdx []int32
+	nets      []int32
+	netStart  []int32
+	netArcIdx []int32 // netArcsLocal lends subslice views of it
 }
 
 // netArcsLocal returns the local arc ids of a net inside the subgraph, in
@@ -68,7 +67,8 @@ func (sg *subgraph) netArcsLocal(net int32) []int32 {
 	if lo == len(sg.nets) || sg.nets[lo] != net {
 		return nil
 	}
-	//bgr:allow scratch-escape -- documented loan: a read-only CSR view; netArcIdx is append-only after New, so the backing array never moves under a reader
+	// A read-only CSR view: netArcIdx is append-only after New, so the
+	// backing array never moves under a reader.
 	return sg.netArcIdx[sg.netStart[lo]:sg.netStart[lo+1]]
 }
 
@@ -278,7 +278,8 @@ func (t *Timing) Flush() []int {
 	}
 	t.dirtyCount = 0
 	t.flushBuf = ps
-	//bgr:allow scratch-escape -- documented loan: Flush's result aliases flushBuf until the next Flush; every caller copies or finishes with it first
+	// Flush's result aliases flushBuf until the next Flush; every caller
+	// copies or finishes with it first.
 	return ps
 }
 

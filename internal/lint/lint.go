@@ -1,23 +1,22 @@
 // Package lint is bgr's repo-specific static analysis suite: the
 // compile-time half of the determinism contract that determinism_test.go
 // checks dynamically (byte-identical routedb output for every worker
-// count) and that docs/PERF.md's invalidation rules assume.
+// count). The cache invalidation rules, the zero-allocation loop and the
+// scratch-buffer ownership rules of docs/PERF.md are checked by tests
+// that run the code, not here.
 //
 // The suite is built on the standard library only — packages are loaded
 // with `go list -export -json`, parsed with go/parser and type-checked
 // with go/types against the toolchain's export data — so the module keeps
 // zero external requirements.
 //
-// Five analyzers are registered (see docs/LINT.md for the full contract
+// Four analyzers are registered (see docs/LINT.md for the full contract
 // each one guards):
 //
 //   - maporder: `range` over a map in a deterministic package
 //   - floateq:  `==`/`!=` between floating-point operands
 //   - clockuse: time.Now/time.Since/math-rand in a deterministic package
 //   - locks:    Lock without a paired unlock on every return path
-//   - scratch-escape: a bgr:owned scratch slice or view escaping its
-//     owner (returned, stored elsewhere, or appended so the backing
-//     array can reallocate)
 //
 // A finding is suppressible only with a reasoned directive on the same
 // line or the line directly above:
@@ -122,8 +121,7 @@ var deterministicPkgs = map[string]bool{
 }
 
 // Deterministic reports whether a package is part of the deterministic
-// routing core that maporder, floateq, clockuse and scratch-escape
-// guard.
+// routing core that maporder, floateq and clockuse guard.
 func Deterministic(pkgName string) bool { return deterministicPkgs[pkgName] }
 
 // Analyzers returns the full registered suite, in reporting order.
@@ -133,7 +131,6 @@ func Analyzers() []*Analyzer {
 		analyzerFloatEq,
 		analyzerClockUse,
 		analyzerLocks,
-		analyzerScratchEscape,
 	}
 }
 
@@ -164,13 +161,10 @@ func parseDirectives(pkg *Package, known map[string]bool) ([]*directive, []Diagn
 					continue
 				}
 				if !strings.HasPrefix(text, directivePrefix) {
-					// bgr:owned is validated by scratch-escape, which
-					// consumes it; any other verb is a typo that would
+					// Any other verb is a typo or a leftover that would
 					// otherwise rot silently.
-					if !strings.HasPrefix(text, ownedPrefix) {
-						bad = append(bad, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "allow",
-							Message: fmt.Sprintf("unknown bgr directive %s: the known verbs are allow and owned", quoteDirective(text))})
-					}
+					bad = append(bad, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "allow",
+						Message: fmt.Sprintf("unknown bgr directive %s: the only verb is allow", quoteDirective(text))})
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
@@ -190,6 +184,14 @@ func parseDirectives(pkg *Package, known map[string]bool) ([]*directive, []Diagn
 		}
 	}
 	return dirs, bad
+}
+
+// quoteDirective quotes a directive for a diagnostic, cut to 60 bytes.
+func quoteDirective(text string) string {
+	if len(text) > 60 {
+		text = text[:60] + "..."
+	}
+	return "\"" + text + "\""
 }
 
 // matches reports whether the directive suppresses d: same analyzer, same

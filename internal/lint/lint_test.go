@@ -87,7 +87,7 @@ func runFixture(t *testing.T, name string) []Diagnostic {
 // `// want` expectations: every diagnostic must be expected, every
 // expectation must fire, and the clean declarations must stay silent.
 func TestFixtures(t *testing.T) {
-	for _, name := range []string{"maporder", "floateq", "clockuse", "locks", "scratch"} {
+	for _, name := range []string{"maporder", "floateq", "clockuse", "locks"} {
 		t.Run(name, func(t *testing.T) {
 			diags := runFixture(t, name)
 			wants := collectWants(t, filepath.Join("testdata", "src", name))
@@ -124,11 +124,13 @@ func TestAllowSuppresses(t *testing.T) {
 }
 
 // TestAllowRot checks that directive rot is itself an error: a stale
-// suppression, one naming an unknown analyzer, and a malformed one must
+// suppression, one naming an unknown analyzer, a malformed one, and a
+// leftover //bgr:owned or //bgr:hot, whose analyzers are deleted, must
 // each produce an "allow" diagnostic — and nothing else.
 func TestAllowRot(t *testing.T) {
 	diags := runFixture(t, "allowstale")
-	expect := []string{"stale suppression", "unknown analyzer", "malformed suppression"}
+	expect := []string{"stale suppression", "unknown analyzer", "malformed suppression",
+		`unknown bgr directive "//bgr:owned"`, `unknown bgr directive "//bgr:hot"`}
 	var unmatched []Diagnostic
 outer:
 	for _, d := range diags {
@@ -151,40 +153,6 @@ outer:
 	}
 	for _, d := range unmatched {
 		t.Errorf("extra allow diagnostic: %s", d)
-	}
-}
-
-// TestAnnotationRot checks that a bgr:owned directive that is malformed,
-// misattached, or typed wrong is itself a diagnostic — an annotation that
-// silently guards nothing is worse than none. The
-// expectations are substrings rather than // want comments because the
-// diagnostics land on the directive lines, where a trailing want comment
-// would become part of the directive text.
-func TestAnnotationRot(t *testing.T) {
-	diags := runFixture(t, "annot")
-	expect := []string{
-		"bgr:owned field must be slice- or array-typed",
-		`malformed annotation "//bgr:owned stuff"`,
-		"bgr:owned is not attached to a struct field",
-	}
-	var extra []Diagnostic
-outer:
-	for _, d := range diags {
-		for i, sub := range expect {
-			if sub != "" && strings.Contains(d.Message, sub) {
-				expect[i] = ""
-				continue outer
-			}
-		}
-		extra = append(extra, d)
-	}
-	for _, sub := range expect {
-		if sub != "" {
-			t.Errorf("no diagnostic containing %q (got %v)", sub, diags)
-		}
-	}
-	for _, d := range extra {
-		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }
 

@@ -199,10 +199,9 @@ func (c *loaderCache) load(dir string, patterns []string) ([]*Package, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}
 		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(lp.ImportPath, fset, files, info)

@@ -16,9 +16,6 @@ type Tree struct {
 	InTree []bool
 	// Length is the total wire length of the union, µm.
 	Length float64
-	// SinkDist[i] is the shortest-path length (µm) from the driver to
-	// terminal i (SinkDist[0] == 0 for the driver itself).
-	SinkDist []float64
 }
 
 // pqItem is one binary-heap entry of the Dijkstra priority queue.
@@ -81,11 +78,8 @@ func (q *pq) pop() pqItem {
 // share this workspace, so a Graph must not be used from two goroutines
 // concurrently.
 type dijkstraWS struct {
-	//bgr:owned
-	dist []float64
-	//bgr:owned -- edge id arriving at v on the shortest path, -1 for source
-	prev []int32
-	//bgr:owned
+	dist  []float64
+	prev  []int32 // edge id arriving at v on the shortest path, -1 for source
 	stamp []uint32
 	gen   uint32
 	q     pq
@@ -250,14 +244,14 @@ func (g *Graph) Tentative() (*Tree, error) {
 // TentativeInto is Tentative reusing a previous tree's storage (prev may
 // be nil). The returned tree aliases prev's slices when they fit, so prev
 // must not be read afterwards — the router's per-deletion tree refresh
-// would otherwise allocate three slices per deletion.
+// would otherwise allocate two slices per deletion.
 func (g *Graph) TentativeInto(prev *Tree) (*Tree, error) {
 	return g.tentativeCostInto(nil, prev)
 }
 
 // TentativeWeighted computes a tentative tree under a custom edge cost
 // (e.g. congestion-inflated lengths for a sequential baseline router).
-// Tree.Length still reports physical length; SinkDist is in cost units.
+// Tree.Length still reports physical length.
 func (g *Graph) TentativeWeighted(cost func(e int) float64) (*Tree, error) {
 	return g.tentativeCostInto(cost, nil)
 }
@@ -360,11 +354,6 @@ func (g *Graph) tentativeCostInto(cost func(e int) float64, prev *Tree) (*Tree, 
 	} else {
 		t.InTree = make([]bool, len(g.Edges))
 	}
-	if cap(t.SinkDist) >= len(g.TermVert) {
-		t.SinkDist = t.SinkDist[:len(g.TermVert)]
-	} else {
-		t.SinkDist = make([]float64, len(g.TermVert))
-	}
 	if cap(t.Edges) < len(g.Edges) {
 		t.Edges = make([]int, 0, len(g.Edges))
 	}
@@ -375,7 +364,6 @@ func (g *Graph) tentativeCostInto(cost func(e int) float64, prev *Tree) (*Tree, 
 		if math.IsInf(w.distAt(v), 1) {
 			return nil, fmt.Errorf("rgraph: terminal %d unreachable from driver", ti)
 		}
-		t.SinkDist[ti] = w.distAt(v)
 		for w.prevAt(v) != -1 {
 			e := w.prevAt(v)
 			if t.InTree[e] {
@@ -394,10 +382,7 @@ func (g *Graph) tentativeCostInto(cost func(e int) float64, prev *Tree) (*Tree, 
 // (IsTree). Unlike Tentative it includes every alive edge; for a finished
 // net the two coincide up to pruned stubs. The tree is freshly allocated.
 func (g *Graph) FinalTree() *Tree {
-	t := &Tree{
-		InTree:   make([]bool, len(g.Edges)),
-		SinkDist: make([]float64, len(g.TermVert)),
-	}
+	t := &Tree{InTree: make([]bool, len(g.Edges))}
 	for i := range g.Edges {
 		if g.Edges[i].Alive {
 			t.InTree[i] = true
