@@ -161,10 +161,11 @@ func TestSolveTracksAtLeastDensity(t *testing.T) {
 		if ch.Tracks < d {
 			return false
 		}
-		// Same-track segments never overlap across nets.
+		// Every segment spans a column (Lo < Hi), so every one is placed,
+		// and same-track segments never overlap across nets.
 		for i, a := range ch.Segments {
-			if a.Track < 0 {
-				continue
+			if a.Track < 0 || a.Track >= ch.Tracks {
+				return false
 			}
 			for _, b := range ch.Segments[i+1:] {
 				if b.Track != a.Track || b.Net == a.Net {

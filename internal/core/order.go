@@ -3,35 +3,29 @@ package core
 import (
 	"sort"
 
-	"repro/internal/circuit"
 	"repro/internal/dgraph"
 	"repro/internal/lowerbound"
 )
 
-// netOrder resolves the configured feedthrough-assignment net ordering.
-// nil means index order (feed.Assign's default).
-func netOrder(ckt *circuit.Circuit, cfg Config) ([]int, error) {
+// netOrder resolves the configured feedthrough-assignment net ordering
+// of dg's circuit. nil means index order (feed.Assign's default).
+func netOrder(dg *dgraph.Graph, cfg Config) []int {
+	ckt := dg.Ckt
 	switch cfg.Order {
 	case OrderSlack:
 		if !cfg.UseConstraints || len(ckt.Cons) == 0 {
-			return nil, nil
+			return nil
 		}
-		dg0, err := dgraph.New(ckt)
-		if err != nil {
-			return nil, err
-		}
-		return dg0.SlackOrder(), nil
-	case OrderIndex:
-		return nil, nil
+		return dg.SlackOrder()
 	case OrderHPWL:
 		hp := lowerbound.NetHPWL(ckt)
-		return orderByDesc(len(ckt.Nets), func(n int) float64 { return hp[n] }), nil
+		return orderByDesc(len(ckt.Nets), func(n int) float64 { return hp[n] })
 	case OrderFanout:
 		return orderByDesc(len(ckt.Nets), func(n int) float64 {
 			return float64(len(ckt.Fanouts(n)))
-		}), nil
+		})
 	}
-	return nil, nil
+	return nil
 }
 
 func orderByDesc(n int, key func(int) float64) []int {

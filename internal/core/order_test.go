@@ -4,29 +4,27 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/dgraph"
 	"repro/internal/lowerbound"
 )
 
 func TestNetOrderStrategies(t *testing.T) {
 	ckt := circuit.SampleSmall()
-	// Slack: nil-safe, returns a permutation when constraints exist.
-	order, err := netOrder(ckt, Config{UseConstraints: true})
+	dg, err := dgraph.New(ckt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Slack: nil-safe, returns a permutation when constraints exist.
+	order := netOrder(dg, Config{UseConstraints: true})
 	if len(order) != len(ckt.Nets) {
 		t.Fatalf("slack order has %d entries", len(order))
 	}
 	// Slack degrades to index order without constraints.
-	order, err = netOrder(ckt, Config{UseConstraints: false})
-	if err != nil || order != nil {
-		t.Fatalf("unconstrained slack order = %v, %v", order, err)
+	if order = netOrder(dg, Config{UseConstraints: false}); order != nil {
+		t.Fatalf("unconstrained slack order = %v", order)
 	}
 	// HPWL: descending half-perimeter.
-	order, err = netOrder(ckt, Config{Order: OrderHPWL})
-	if err != nil {
-		t.Fatal(err)
-	}
+	order = netOrder(dg, Config{Order: OrderHPWL})
 	hp := lowerbound.NetHPWL(ckt)
 	for i := 1; i < len(order); i++ {
 		if hp[order[i-1]] < hp[order[i]] {
@@ -34,19 +32,15 @@ func TestNetOrderStrategies(t *testing.T) {
 		}
 	}
 	// Fanout: descending sink count.
-	order, err = netOrder(ckt, Config{Order: OrderFanout})
-	if err != nil {
-		t.Fatal(err)
-	}
+	order = netOrder(dg, Config{Order: OrderFanout})
 	for i := 1; i < len(order); i++ {
 		if len(ckt.Fanouts(order[i-1])) < len(ckt.Fanouts(order[i])) {
 			t.Fatalf("fanout order not descending at %d", i)
 		}
 	}
 	// Index order overrides the slack default even with constraints.
-	order, err = netOrder(ckt, Config{UseConstraints: true, Order: OrderIndex})
-	if err != nil || order != nil {
-		t.Fatalf("index order = %v, %v", order, err)
+	if order = netOrder(dg, Config{UseConstraints: true, Order: OrderIndex}); order != nil {
+		t.Fatalf("index order = %v", order)
 	}
 }
 

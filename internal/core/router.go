@@ -169,31 +169,32 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 }
 
 // newRouter validates ckt and builds the complete routing state a route
-// starts from: the net ordering for feedthrough assignment (§3.1),
-// feedthrough assignment itself, the delay graph and the routing graphs,
-// timing and density (setup). It stops before the first phase. RouteCtx
-// and the package's tests and benchmarks start here, so a benchmark of
-// one selection sweep measures exactly the state Route routes.
+// starts from: the delay graph, the net ordering for feedthrough
+// assignment (§3.1), feedthrough assignment itself and the routing
+// graphs, timing and density (setup). It stops before the first phase.
+// RouteCtx and the package's tests and benchmarks start here, so a
+// benchmark of one selection sweep measures exactly the state Route
+// routes.
 func newRouter(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*router, error) {
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	dg, err := dgraph.New(ckt)
+	if err != nil {
+		return nil, err
 	}
 	// The default order is ascending static slack from the
 	// zero-interconnect analysis; without constraints there are no slacks
 	// (the paper's baseline run), so index order is used — this is one of
 	// the two places the timing information enters.
-	order, err := netOrder(ckt, cfg)
+	fr, err := feed.Assign(ckt, netOrder(dg, cfg))
 	if err != nil {
 		return nil, err
 	}
-	fr, err := feed.Assign(ckt, order)
-	if err != nil {
-		return nil, err
-	}
-	r := &router{ctx: ctx, cfg: cfg, ckt: fr.Ckt, geo: fr.Geo, feeds: fr.Feeds, addedPitches: fr.AddedPitches}
-	if r.dg, err = dgraph.New(r.ckt); err != nil {
-		return nil, err
-	}
+	// Feed cells carry no pins (Validate refuses pins on a feed type), so
+	// the widened copy has the input's delay graph.
+	dg.Ckt = fr.Ckt
+	r := &router{ctx: ctx, cfg: cfg, ckt: fr.Ckt, geo: fr.Geo, feeds: fr.Feeds, dg: dg, addedPitches: fr.AddedPitches}
 	if err := r.setup(); err != nil {
 		return nil, err
 	}

@@ -48,6 +48,11 @@ func routeDB(t *testing.T, name string, ckt *circuit.Circuit, cfg engine.Config)
 	if res.Engine != name {
 		t.Fatalf("Result.Engine = %q, want %q", res.Engine, name)
 	}
+	// The one delay graph built on the input must refer to the routed,
+	// possibly feed-widened, circuit by the time the result is returned.
+	if res.Timing.G.Ckt != res.Ckt {
+		t.Fatal("Result.Timing's delay graph refers to another circuit than Result.Ckt")
+	}
 	cr, err := chanroute.Route(res.Ckt, res.Graphs)
 	if err != nil {
 		t.Fatal(err)

@@ -47,10 +47,17 @@ type Result struct {
 // lists net indices in processing order (ascending static slack per the
 // paper); nets absent from order are processed last in index order.
 //
+// Every slot search walks outward from its target (FindGroup), and each
+// insertion round places a row's feed-cell groups in one left-to-right
+// pass, because an insertion point never lies left of the one before it
+// (grid.InsertFeedCells).
+//
 // The paper's single re-assignment is guaranteed by its counting argument;
 // because our even-spacing insertion can in rare cases split a reserved
 // adjacent group, the insert-and-retry step is allowed to repeat a bounded
-// number of times, each round widening the chip further.
+// number of times, each round widening the chip further. On the 264
+// routings of docs/PERF.md's prephase check a second round ran in 5, each
+// time for one 2-pitch group in one row; none needed a third.
 func Assign(ckt *circuit.Circuit, order []int) (*Result, error) {
 	full := completeOrder(ckt, order)
 	cur := ckt
@@ -133,16 +140,11 @@ func insertForShortfall(ckt *circuit.Circuit, geo *grid.Geometry, p *pass, added
 	if err != nil {
 		return nil, nil, err
 	}
-	colOfCell := func(row, cell, offset int) int {
-		for _, slot := range wideGeo.FeedSlots(row) {
-			if slot.Cell == cell && slot.Col-wideCkt.Cells[cell].Col == offset {
-				return slot.Col
-			}
-		}
-		return -1
-	}
+	// A feed cell keeps its index, row and type across the widening, so
+	// its slot at offset o is column Col+o of its new position.
+	colOfCell := func(cell, offset int) int { return wideCkt.Cells[cell].Col + offset }
 	for _, m := range memo {
-		if col := colOfCell(m.row, m.cell, m.offset); col < 0 || !wideGeo.SetFlag(m.row, col, m.flag) {
+		if !wideGeo.SetFlag(m.row, colOfCell(m.cell, m.offset), m.flag) {
 			return nil, nil, fmt.Errorf("feed: lost flag on cell %d after widening", m.cell)
 		}
 	}
@@ -161,7 +163,7 @@ func insertForShortfall(ckt *circuit.Circuit, geo *grid.Geometry, p *pass, added
 		}
 	}
 	for _, res := range p.reserved {
-		if col := colOfCell(res.row, res.cell, res.offset); col < 0 || !wideGeo.SetFlag(res.row, col, res.flag) {
+		if !wideGeo.SetFlag(res.row, colOfCell(res.cell, res.offset), res.flag) {
 			return nil, nil, fmt.Errorf("feed: reserved slot for cell %d not found after widening", res.cell)
 		}
 	}
@@ -298,42 +300,45 @@ func (p *pass) findGroup(row, width, target, flagWidth int) int {
 // respectFlags is set. occupied reports taken slots. It returns the
 // leftmost column, or -1 when no group exists. Exported for the router's
 // rip-up-and-reroute feed re-assignment.
+//
+// The search runs outward from the target (§3.1). Feed slots have
+// distinct columns, so window centers strictly increase along the row: a
+// binary search finds the first window centered at or right of the
+// target, and the walk then tries the nearer of the next window on either
+// side until one is free. At equal distance the left window wins, the
+// window a scan from the left end of the row would keep.
 func FindGroup(geo *grid.Geometry, occupied func(row, col int) bool, row, width, target, flagWidth int, respectFlags bool) int {
 	slots := geo.FeedSlots(row)
-	bestCol, bestDist := -1, math.MaxInt32
+	last := len(slots) - width // rightmost window start
 	centerOff := (width - 1) / 2
-	for i := 0; i+width <= len(slots); i++ {
-		// Slots ascend by column, so window centers only move right; once
-		// a center sits bestDist or more past the target nothing later can
-		// beat the strict < below, and the right tail need not be scanned.
-		if bestCol >= 0 && slots[i].Col+centerOff-target >= bestDist {
-			break
-		}
-		ok := true
+	r := sort.Search(last+1, func(i int) bool { return slots[i].Col+centerOff >= target })
+	l := r - 1
+	free := func(i int) bool {
 		for j := 0; j < width; j++ {
 			s := slots[i+j]
 			if s.Col != slots[i].Col+j || occupied(row, s.Col) {
-				ok = false
-				break
+				return false
 			}
 			if respectFlags && !flagCompatible(s.Flag, flagWidth) {
-				ok = false
-				break
+				return false
 			}
 		}
-		if !ok {
+		return true
+	}
+	for l >= 0 || r <= last {
+		if r > last || l >= 0 && target-(slots[l].Col+centerOff) <= slots[r].Col+centerOff-target {
+			if free(l) {
+				return slots[l].Col
+			}
+			l--
 			continue
 		}
-		centerCol := slots[i].Col + (width-1)/2
-		dist := centerCol - target
-		if dist < 0 {
-			dist = -dist
+		if free(r) {
+			return slots[r].Col
 		}
-		if dist < bestDist {
-			bestDist, bestCol = dist, slots[i].Col
-		}
+		r++
 	}
-	return bestCol
+	return -1
 }
 
 // flagCompatible implements the §4.3 width-flag rule of the second pass:
@@ -352,14 +357,12 @@ func (p *pass) take(row, col, width, flagWidth int) {
 	}
 	if flagWidth >= 2 && !p.respectFlags {
 		// Remember the slots for width-flagging if insertion is needed.
-		for j := 0; j < width; j++ {
-			for _, s := range p.geo.FeedSlots(row) {
-				if s.Col == col+j {
-					cellCol := p.ckt.Cells[s.Cell].Col
-					p.reserved = append(p.reserved, reservation{row: row, cell: s.Cell, offset: s.Col - cellCol, flag: flagWidth})
-					break
-				}
-			}
+		// The group's slots are adjacent, from the one at col on.
+		slots := p.geo.FeedSlots(row)
+		i := p.geo.SlotIndex(row, col)
+		for _, s := range slots[i : i+width] {
+			cellCol := p.ckt.Cells[s.Cell].Col
+			p.reserved = append(p.reserved, reservation{row: row, cell: s.Cell, offset: s.Col - cellCol, flag: flagWidth})
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package feed
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
@@ -112,5 +114,90 @@ func TestChannelSpanExported(t *testing.T) {
 	}
 	if center <= 0 || center >= ckt.Cols {
 		t.Fatalf("center %d out of range", center)
+	}
+}
+
+// findGroupScan is the left-to-right scan FindGroup replaced, kept as its
+// oracle: it tries every window from the left end of the row and keeps
+// the first one at the smallest distance.
+func findGroupScan(geo *grid.Geometry, occupied func(row, col int) bool, row, width, target, flagWidth int, respectFlags bool) int {
+	slots := geo.FeedSlots(row)
+	bestCol, bestDist := -1, math.MaxInt32
+	for i := 0; i+width <= len(slots); i++ {
+		ok := true
+		for j := 0; j < width; j++ {
+			s := slots[i+j]
+			if s.Col != slots[i].Col+j || occupied(row, s.Col) {
+				ok = false
+				break
+			}
+			if respectFlags && !flagCompatible(s.Flag, flagWidth) {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		dist := slots[i].Col + (width-1)/2 - target
+		if dist < 0 {
+			dist = -dist
+		}
+		if dist < bestDist {
+			bestDist, bestCol = dist, slots[i].Col
+		}
+	}
+	return bestCol
+}
+
+// TestFindGroupMatchesScan compares the outward walk with the scan on
+// random rows: slot density, flags, occupancy, width, target (also off
+// the row) and flag mode all vary. Queries whose two nearest free groups
+// lie at the same distance on either side of the target must occur, or
+// the left-wins rule goes untested.
+func TestFindGroupMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	queries, ties, misses := 0, 0, 0
+	for row := 0; row < 2000; row++ {
+		cols := 1 + rng.Intn(60)
+		density, busy := rng.Float64(), rng.Float64()/2
+		var slots []grid.FeedSlot
+		taken := make([]bool, cols)
+		for c := 0; c < cols; c++ {
+			if rng.Float64() < density {
+				slots = append(slots, grid.FeedSlot{Col: c, Cell: c, Flag: []int{0, 0, 1, 2, 3}[rng.Intn(5)]})
+				taken[c] = rng.Float64() < busy
+			}
+		}
+		geo := &grid.Geometry{Feeds: [][]grid.FeedSlot{slots}}
+		occ := func(_, col int) bool { return taken[col] }
+		for q := 0; q < 20; q++ {
+			width := 1 + rng.Intn(3)
+			flagWidth := width
+			if rng.Intn(4) == 0 {
+				flagWidth = 1 + rng.Intn(3)
+			}
+			target := rng.Intn(cols+10) - 5
+			respect := rng.Intn(2) == 0
+			want := findGroupScan(geo, occ, 0, width, target, flagWidth, respect)
+			if got := FindGroup(geo, occ, 0, width, target, flagWidth, respect); got != want {
+				t.Fatalf("row %v taken %v: FindGroup(width %d, target %d, flag %d, respect %v) = %d, scan %d",
+					slots, taken, width, target, flagWidth, respect, got, want)
+			}
+			queries++
+			if want < 0 {
+				misses++
+				continue
+			}
+			// A tie: a free group as near as the answer on its other side.
+			mirror := 2*target - (want + (width-1)/2) - (width-1)/2
+			if mirror != want && findGroupScan(geo, func(r, c int) bool { return occ(r, c) || c < want+width && c >= want }, 0, width, target, flagWidth, respect) == mirror {
+				ties++
+			}
+		}
+	}
+	t.Logf("%d queries, %d ties, %d without a group", queries, ties, misses)
+	if ties < 100 || misses < 100 {
+		t.Fatalf("only %d ties and %d misses in %d queries: the random rows no longer exercise both", ties, misses, queries)
 	}
 }

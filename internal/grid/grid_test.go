@@ -185,3 +185,30 @@ func TestInsertFeedCellsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInsertFeedCellsAddsOnePitchFeedType: inserted feed cells are one
+// pitch wide, so a library whose only feed type is wider gets the
+// one-pitch _FEED type added rather than wide cells stacked one column
+// apart, which overlapped.
+func TestInsertFeedCellsAddsOnePitchFeedType(t *testing.T) {
+	ckt := &circuit.Circuit{Name: "wide", Tech: circuit.DefaultTech, Rows: 1, Cols: 12,
+		Lib: []circuit.CellType{{Name: "A", Width: 2}, {Name: "WFEED", Width: 2, Feed: true}}}
+	for i := 0; i < 6; i++ {
+		ckt.Cells = append(ckt.Cells, circuit.Cell{Name: string(rune('a' + i)), Type: i % 2, Row: 0, Col: 2 * i})
+	}
+	out, cols, err := InsertFeedCells(ckt, []FeedGroupSpec{{Row: 0, Width: 2}, {Row: 0, Width: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Lib) != 3 || out.Lib[2].Name != "_FEED" || out.Lib[2].Width != 1 || !out.Lib[2].Feed {
+		t.Fatalf("library %v, want _FEED (1 pitch) appended", out.Lib)
+	}
+	for _, c := range out.Cells[len(ckt.Cells):] {
+		if c.Type != 2 {
+			t.Fatalf("inserted cell %s has type %s", c.Name, out.Lib[c.Type].Name)
+		}
+	}
+	if len(cols[0]) != 2 || out.Cols != ckt.Cols+3 {
+		t.Fatalf("columns %v, width %d", cols, out.Cols)
+	}
+}

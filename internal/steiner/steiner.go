@@ -66,18 +66,21 @@ func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engin
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("steiner: %w", err)
 	}
+	dg, err := dgraph.New(ckt)
+	if err != nil {
+		return nil, err
+	}
 	var order []int
 	if cfg.UseConstraints {
-		dg0, err := dgraph.New(ckt)
-		if err != nil {
-			return nil, err
-		}
-		order = dg0.SlackOrder()
+		order = dg.SlackOrder()
 	}
 	fr, err := feed.Assign(ckt, order)
 	if err != nil {
 		return nil, err
 	}
+	// Feed cells carry no pins (Validate refuses pins on a feed type), so
+	// the widened copy has the input's delay graph.
+	dg.Ckt = fr.Ckt
 	r := &run{
 		ctx:    ctx,
 		cfg:    cfg,
@@ -101,10 +104,10 @@ func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engin
 		Duration: time.Since(buildStart), //bgr:allow clockuse -- profiling only
 	}}
 
-	tm, err := r.analyze()
-	if err != nil {
-		return nil, err
-	}
+	// A fresh lumped timing analysis over the committed trees.
+	tm := dg.NewTiming()
+	tm.SetLumped(r.wl)
+	tm.Analyze()
 
 	res := &engine.Result{
 		Engine:       "steiner",
@@ -161,18 +164,6 @@ func (r *run) build(order []int) (int, error) {
 	}
 	r.emit(engine.Progress{Phase: "build", Accepted: built, Done: true})
 	return built, nil
-}
-
-// analyze runs a fresh lumped timing analysis over the committed trees.
-func (r *run) analyze() (*dgraph.Timing, error) {
-	dg, err := dgraph.New(r.ckt)
-	if err != nil {
-		return nil, err
-	}
-	tm := dg.NewTiming()
-	tm.SetLumped(r.wl)
-	tm.Analyze()
-	return tm, nil
 }
 
 // routeNet builds net n's redundant graph, selects the
