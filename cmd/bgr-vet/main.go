@@ -8,14 +8,12 @@
 // Usage:
 //
 //	go run ./cmd/bgr-vet ./...
-//	go run ./cmd/bgr-vet -json ./internal/core
 //	go run ./cmd/bgr-vet -list
 //
 // See docs/LINT.md for the analyzers and the suppression directive.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +23,6 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	dir := flag.String("dir", ".", "directory to resolve package patterns from")
 	flag.Usage = func() {
@@ -61,20 +58,8 @@ func main() {
 		lint.Relativize(diags, abs)
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "bgr-vet: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "bgr-vet: %d diagnostic(s) in %d package(s)\n", len(diags), len(pkgs))

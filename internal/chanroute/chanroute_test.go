@@ -143,26 +143,38 @@ func TestSolveWideSegmentTakesWidth(t *testing.T) {
 	}
 }
 
+// TestSolveTracksAtLeastDensity solves random channels whose segments
+// carry 0-4 pins each, on random sides, so vertical-constraint cycles
+// form: some cases must split a segment with a dogleg and some must give
+// up and waive constraints, or Solve's hardest paths go untested.
 func TestSolveTracksAtLeastDensity(t *testing.T) {
+	splits, waives := 0, 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ch := &Channel{}
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 8; i++ {
 			lo := rng.Intn(20)
 			hi := lo + 1 + rng.Intn(10)
 			s := seg(i, lo, hi)
-			if rng.Intn(2) == 0 {
-				s.Pins = append(s.Pins, Pin{Col: lo + rng.Intn(hi-lo), FromTop: rng.Intn(2) == 0})
+			for k := rng.Intn(5); k > 0; k-- {
+				s.Pins = append(s.Pins, Pin{Col: lo + rng.Intn(hi-lo+1), FromTop: rng.Intn(2) == 0})
 			}
 			ch.Segments = append(ch.Segments, s)
 		}
 		d := maxDensity(ch)
 		Solve(ch)
+		if len(ch.Segments) > 8 {
+			splits++
+		}
+		if ch.VCGViolations > 0 {
+			waives++
+		}
 		if ch.Tracks < d {
 			return false
 		}
-		// Every segment spans a column (Lo < Hi), so every one is placed,
-		// and same-track segments never overlap across nets.
+		// Every segment spans a column (Lo < Hi), and so does each piece a
+		// dogleg splits off, so every one is placed; same-track segments
+		// never overlap across nets.
 		for i, a := range ch.Segments {
 			if a.Track < 0 || a.Track >= ch.Tracks {
 				return false
@@ -178,8 +190,12 @@ func TestSolveTracksAtLeastDensity(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(23))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(23))}); err != nil {
 		t.Fatal(err)
+	}
+	t.Logf("%d cases split a segment, %d waived constraints", splits, waives)
+	if splits == 0 || waives == 0 {
+		t.Fatalf("no case reached Solve's dogleg (%d) or give-up path (%d)", splits, waives)
 	}
 }
 

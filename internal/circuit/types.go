@@ -311,29 +311,7 @@ func (c *Circuit) Driver(net int) (PinRef, error) {
 // Terminals returns every terminal of a net, external pads included, with
 // the driver first.
 func (c *Circuit) Terminals(net int) []PinRef {
-	var drv PinRef
-	hasDrv := false
-	if d, err := c.Driver(net); err == nil {
-		drv, hasDrv = d, true
-	}
-	out := make([]PinRef, 0, len(c.Nets[net].Pins)+1)
-	if hasDrv {
-		out = append(out, drv)
-	}
-	for i := range c.Ext {
-		if c.Ext[i].Net == net {
-			r := Ext(i)
-			if !hasDrv || r != drv {
-				out = append(out, r)
-			}
-		}
-	}
-	for _, p := range c.Nets[net].Pins {
-		if !hasDrv || p != drv {
-			out = append(out, p)
-		}
-	}
-	return out
+	return c.AppendTerminals(make([]PinRef, 0, len(c.Nets[net].Pins)+1), net)
 }
 
 // AppendTerminals appends the net's terminals to dst in Terminals order

@@ -29,8 +29,8 @@ type candidate struct {
 
 // candKey is a candidate's fully evaluated comparison key: the §3.4
 // criteria flattened so that ordering two candidates is a plain
-// lexicographic comparison (with the fEps tolerance on floats) instead of
-// re-deriving delay criteria and density interval stats per comparison.
+// lexicographic comparison instead of re-deriving delay criteria and
+// density interval stats per comparison.
 type candKey struct {
 	gl, ld float64
 	cd     int32
@@ -66,36 +66,38 @@ func (r *router) keyFor(c candidate) candKey {
 // Initial/delay ordering (§3.4): Cd, Gl, LD, then the five density
 // conditions, then the longer edge. Area ordering (§3.5): Cd, density
 // conditions, Gl, LD, longer edge. Without constraints only the density
-// conditions apply. Ties end at a deterministic index order.
+// conditions apply. Ties end at a deterministic index order. Every field
+// compares exactly, so over finite keys this is a strict total order and
+// an argmin returns the same candidate in any scan order.
 func (r *router) keyLess(ka, kb *candKey, a, b candidate, areaOrder bool) bool {
 	if r.cfg.UseConstraints {
 		if ka.cd != kb.cd {
 			return ka.cd < kb.cd
 		}
 		if !areaOrder {
-			if diff := ka.gl - kb.gl; diff < -fEps || diff > fEps {
-				return diff < 0
+			if ka.gl != kb.gl {
+				return ka.gl < kb.gl
 			}
-			if diff := ka.ld - kb.ld; diff < -fEps || diff > fEps {
-				return diff < 0
+			if ka.ld != kb.ld {
+				return ka.ld < kb.ld
 			}
 		}
 		if c := keyDensCompare(ka, kb); c != 0 {
 			return c < 0
 		}
 		if areaOrder {
-			if diff := ka.gl - kb.gl; diff < -fEps || diff > fEps {
-				return diff < 0
+			if ka.gl != kb.gl {
+				return ka.gl < kb.gl
 			}
-			if diff := ka.ld - kb.ld; diff < -fEps || diff > fEps {
-				return diff < 0
+			if ka.ld != kb.ld {
+				return ka.ld < kb.ld
 			}
 		}
 	} else if c := keyDensCompare(ka, kb); c != 0 {
 		return c < 0
 	}
-	if diff := ka.edgeLen - kb.edgeLen; diff < -fEps || diff > fEps {
-		return diff > 0 // longer edge preferred for deletion
+	if ka.edgeLen != kb.edgeLen {
+		return ka.edgeLen > kb.edgeLen // longer edge preferred for deletion
 	}
 	if a.net != b.net {
 		return a.net < b.net
@@ -379,8 +381,6 @@ func (r *router) scoreNet(n int, areaOrder bool) {
 		}
 	}
 }
-
-const fEps = 1e-9
 
 func (r *router) edgeOf(c candidate) *rgraph.Edge {
 	return &r.graphs[c.net].Edges[c.edge]

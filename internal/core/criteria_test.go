@@ -180,7 +180,7 @@ func TestSelectEdgePrefersHarmless(t *testing.T) {
 			if c.cd < bc.cd {
 				t.Fatalf("selected Cd=%d but edge (%d,%d) has Cd=%d", bc.cd, n, e, c.cd)
 			}
-			if c.cd == bc.cd && c.gl < bc.gl-fEps {
+			if c.cd == bc.cd && c.gl < bc.gl {
 				t.Fatalf("selected Gl=%v but edge (%d,%d) has Gl=%v", bc.gl, n, e, c.gl)
 			}
 		}
@@ -213,6 +213,47 @@ func TestLessIsStrictWeakOrder(t *testing.T) {
 			}
 			if !ab && !ba {
 				t.Fatalf("unresolved tie (index fallback broken) for %+v / %+v", cands[i], cands[j])
+			}
+		}
+	}
+
+	// Crafted keys whose Gl, LD and edge lengths differ by less than 1e-9
+	// and by more: a tolerance on any float field makes three of them
+	// (say Gl 0, 0.6e-9, 1.2e-9 with LD 3, 2, 1) sort in a cycle.
+	cands, keys = cands[:0], keys[:0]
+	for i := 0; i < 40; i++ {
+		cands = append(cands, candidate{net: int32(i % 7), edge: int32(i)})
+		keys = append(keys, candKey{
+			cd:      int32(i / 20),
+			gl:      0.6e-9 * float64(i%3),
+			ld:      float64(3 - i/3%3),
+			trunk:   i%11 == 0,
+			fm:      int32(i / 13 % 2),
+			edgeLen: 100 + 0.6e-9*float64(i%4),
+		})
+	}
+	for _, on := range []bool{true, false} {
+		r := &router{cfg: Config{UseConstraints: on}}
+		for _, areaOrder := range []bool{false, true} {
+			less := func(i, j int) bool { return r.keyLess(&keys[i], &keys[j], cands[i], cands[j], areaOrder) }
+			for i := range keys {
+				if less(i, i) {
+					t.Fatalf("constraints %v, areaOrder %v: crafted key %d less than itself", on, areaOrder, i)
+				}
+				for j := range keys {
+					if j != i && less(i, j) == less(j, i) {
+						t.Fatalf("constraints %v, areaOrder %v: crafted keys %d, %d: less both ways or neither", on, areaOrder, i, j)
+					}
+					if !less(i, j) {
+						continue
+					}
+					for k := range keys {
+						if less(j, k) && !less(i, k) {
+							t.Fatalf("constraints %v, areaOrder %v: crafted keys %d < %d < %d but not %d < %d:\n%+v\n%+v\n%+v",
+								on, areaOrder, i, j, k, i, k, keys[i], keys[j], keys[k])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -163,7 +163,7 @@ func TestLongerEdgeTieBreak(t *testing.T) {
 				continue
 			}
 			la, lb := ka.edgeLen, kb.edgeLen
-			if la <= lb+fEps {
+			if la <= lb {
 				continue
 			}
 			// a is strictly longer with tied density: a must win.

@@ -60,11 +60,6 @@ func oracleCases() []gen.Params {
 // phases/ subtests route the same circuits through the §3.5 phases
 // (constrained, with AreaFirst, and unconstrained) under oracleCtx,
 // which checks every point at which the router asks its context.
-//
-// keyLess compares floats within fEps, which is not transitive, so the
-// oracle folds exactly as selectEdge does — per net in candidate order,
-// then across nets in list order — and any disagreement comes from the
-// caches.
 func TestSelectEdgeMatchesFullRescore(t *testing.T) {
 	var total ripUpStats
 	cases := oracleCases()
@@ -302,16 +297,13 @@ func checkSelection(t *testing.T, r *router, restrict []int, areaOrder bool, ste
 			if nb.edge == -1 || r.keyLess(&k, &nb.key, c, candidate{net: int32(n), edge: nb.edge}, areaOrder) {
 				nb = netBest{key: k, edge: int32(e)}
 			}
+			if want.net == -1 || r.keyLess(&k, &wantKey, c, want, areaOrder) {
+				want, wantKey = c, k
+			}
 		}
 		if b := r.best[n]; b.edge != nb.edge || nb.edge != -1 && b.key != nb.key {
 			t.Fatalf("step %d (restrict %v, areaOrder %v): net %d cached best edge %d key %+v, oracle edge %d key %+v",
 				step, restrict, areaOrder, n, b.edge, b.key, nb.edge, nb.key)
-		}
-		if nb.edge == -1 {
-			continue
-		}
-		if c := (candidate{net: int32(n), edge: nb.edge}); want.net == -1 || r.keyLess(&nb.key, &wantKey, c, want, areaOrder) {
-			want, wantKey = c, nb.key
 		}
 	}
 	if gotOK != (want.net != -1) || gotOK && got != want {

@@ -34,7 +34,7 @@ func (r *router) acceptDelay(before, after objective) bool {
 	if after.violations != before.violations {
 		return after.violations < before.violations
 	}
-	return after.penalty < before.penalty-fEps
+	return after.penalty < before.penalty
 }
 
 // acceptArea is the acceptance rule of the area-improvement phase: fewer
@@ -44,14 +44,14 @@ func (r *router) acceptArea(before, after objective) bool {
 		if after.violations > before.violations {
 			return false
 		}
-		if after.penalty > before.penalty+fEps {
+		if after.penalty > before.penalty {
 			return false
 		}
 	}
 	if after.tracks != before.tracks {
 		return after.tracks < before.tracks
 	}
-	return after.wirelen < before.wirelen-fEps
+	return after.wirelen < before.wirelen
 }
 
 // ripUpAndReroute rips up one net (and its differential mate), rebuilds
@@ -244,10 +244,7 @@ func (r *router) reallocFeeds(nets []int) [][]rgraph.FeedPos {
 		}
 		return true
 	}
-	if r.feedCenter[primary] < 0 {
-		_, _, r.feedCenter[primary] = feed.ChannelSpan(r.ckt, primary)
-	}
-	target := r.feedCenter[primary]
+	_, _, target := feed.ChannelSpan(r.ckt, primary)
 	alt := make([]rgraph.FeedPos, 0, len(cur))
 	moved := false
 	for _, f := range cur {

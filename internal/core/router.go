@@ -34,10 +34,6 @@ type router struct {
 	// per candidate slot, so it must be an O(1) array read.
 	slotOwner []int32
 	slotCols  int
-	// feedCenter[n] is net n's §3.1 feed search center, its mean terminal
-	// column, or -1 until the net's first feed move computes it. Routing
-	// never moves a terminal, so it holds for the whole route.
-	feedCenter []int
 
 	// Criteria cache (see criteria.go). timEpoch[n] starts at 1 and
 	// advances whenever anything net n's criteria read changes: its own
@@ -416,10 +412,6 @@ func (r *router) initState(graphs []*rgraph.Graph) error {
 	for i := range r.slotOwner {
 		r.slotOwner[i] = -1
 	}
-	r.feedCenter = make([]int, nNets)
-	for n := range r.feedCenter {
-		r.feedCenter[n] = -1
-	}
 	r.consMark = make([]int, len(r.ckt.Cons))
 	r.chanMark = make([]int32, r.dens.Channels())
 	words := (nNets + 63) / 64
@@ -672,7 +664,8 @@ func (r *router) penaltyTotal() float64 {
 // pen is the paper's penalty function: 1 - x/τ for x >= 0, exp(-x/τ) for
 // x < 0. The exponent is capped at maxPenExp so every finite margin gives
 // a finite penalty: past exp(709) both terms of eq. 4's pen(lm) - pen(M)
-// would be +Inf and their difference NaN, which keyLess reads as a tie.
+// would be +Inf and their difference NaN, and keyLess is a total order
+// only over finite keys.
 func pen(x, tau float64) float64 {
 	if x >= 0 {
 		return 1 - x/tau

@@ -502,7 +502,7 @@ var negInf = math.Inf(-1)
 // propagated verbatim — never the result of arithmetic — so exact
 // comparison is the correct test.
 func unreached(x float64) bool {
-	return x == negInf //bgr:allow floateq -- audited: -Inf is assigned at init and only copied; every relax site checks unreached() before adding a delay, so the sentinel is never produced by arithmetic and exact equality is the correct test
+	return x == negInf
 }
 
 // Analyze recomputes every constraint's longest paths and margin from the
@@ -576,10 +576,11 @@ func (t *Timing) CriticalNets(p int) []int {
 func (t *Timing) CriticalPath(p int) []int {
 	ct := &t.Cons[p]
 	sg := &t.G.subs[p]
-	// Find the worst sink.
+	// Find the worst sink. Worst is a verbatim copy of the largest sink
+	// LpF (analyzeOne), so exact equality re-identifies it.
 	end := int32(-1)
 	for _, s := range sg.sinks {
-		if !unreached(ct.LpF[s]) && ct.LpF[s] == ct.Worst { //bgr:allow floateq -- audited: Worst is a verbatim copy of the max sink LpF (analyzeOne), no arithmetic in between, so bitwise equality re-identifies the worst sink; the trivially-met Worst=0 rewrite only happens when every sink is unreached and the loop finds none
+		if !unreached(ct.LpF[s]) && ct.LpF[s] == ct.Worst {
 			end = s
 			break
 		}

@@ -101,16 +101,14 @@ type Eval struct {
 }
 
 // Evaluate channel-routes a finished routing and analyzes its
-// constraints over the channel-routed net lengths.
+// constraints over the channel-routed net lengths. The analysis runs on
+// the route's own delay graph, which every engine points at res.Ckt.
 func Evaluate(res *engine.Result) (*Eval, error) {
 	cr, err := chanroute.Route(res.Ckt, res.Graphs)
 	if err != nil {
 		return nil, err
 	}
-	tm, err := finalTiming(res.Ckt, cr.NetLenUm)
-	if err != nil {
-		return nil, err
-	}
+	tm := analyze(res.Timing.G, cr.NetLenUm)
 	ev := &Eval{Channels: cr, Timing: tm}
 	ev.DelayPs, ev.Violations = tm.Worst()
 	return ev, nil
@@ -120,24 +118,20 @@ func Evaluate(res *engine.Result) (*Eval, error) {
 // (the paper's measurement) and counts violations: Evaluate's analysis,
 // for callers that ran channel routing themselves.
 func FinalDelay(ckt *circuit.Circuit, netLenUm []float64) (worst float64, violations int, err error) {
-	tm, err := finalTiming(ckt, netLenUm)
+	dg, err := dgraph.New(ckt)
 	if err != nil {
 		return 0, 0, err
 	}
-	worst, violations = tm.Worst()
+	worst, violations = analyze(dg, netLenUm).Worst()
 	return worst, violations, nil
 }
 
-// finalTiming runs the lumped analysis over the given net lengths.
-func finalTiming(ckt *circuit.Circuit, netLenUm []float64) (*dgraph.Timing, error) {
-	dg, err := dgraph.New(ckt)
-	if err != nil {
-		return nil, err
-	}
-	tm := dg.NewTiming()
+// analyze runs the lumped analysis over the given net lengths.
+func analyze(g *dgraph.Graph, netLenUm []float64) *dgraph.Timing {
+	tm := g.NewTiming()
 	tm.SetLumped(netLenUm)
 	tm.Analyze()
-	return tm, nil
+	return tm
 }
 
 // RunDataset evaluates one named data set (e.g. "C1P1") in both modes.

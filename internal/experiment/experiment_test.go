@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gen"
 )
 
 func TestRunGeneratedSample(t *testing.T) {
@@ -157,4 +160,71 @@ func TestRobustnessTextSmall(t *testing.T) {
 	if !strings.Contains(s, "3 fresh circuits") || !strings.Contains(s, "mean") {
 		t.Fatalf("text malformed:\n%s", s)
 	}
+}
+
+// TestEvaluateMatchesFinalDelay requires Evaluate, which analyzes over
+// the route's own delay graph, to report bit for bit the delay and
+// violation count of FinalDelay, which builds a fresh graph from the
+// routed circuit: bench's service workload fails an operation when a
+// job's summary delay differs from FinalDelay's by any amount. It covers
+// every engine in both modes on the five data sets, and on C1P1- and
+// C1P2-shaped circuits at random seeds, parsed from their text as the
+// service receives them.
+func TestEvaluateMatchesFinalDelay(t *testing.T) {
+	var ckts []*circuit.Circuit
+	for _, name := range gen.DatasetNames() {
+		ckts = append(ckts, generate(t, name, 0))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		ckt := generate(t, []string{"C1P1", "C1P2"}[i%2], rng.Int63n(1<<40))
+		var b strings.Builder
+		if err := circuit.Format(&b, ckt); err != nil {
+			t.Fatal(err)
+		}
+		ckt, err := circuit.Parse(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckts = append(ckts, ckt)
+	}
+	for _, ckt := range ckts {
+		for _, eng := range engine.Names() {
+			for _, constrained := range []bool{true, false} {
+				res, err := engine.Route(context.Background(), eng, ckt, engine.Config{UseConstraints: constrained})
+				if err != nil {
+					t.Fatalf("%s %s: %v", ckt.Name, eng, err)
+				}
+				ev, err := Evaluate(res)
+				if err != nil {
+					t.Fatalf("%s %s: %v", ckt.Name, eng, err)
+				}
+				worst, viol, err := FinalDelay(res.Ckt, ev.Channels.NetLenUm)
+				if err != nil {
+					t.Fatalf("%s %s: %v", ckt.Name, eng, err)
+				}
+				if ev.DelayPs != worst || ev.Violations != viol {
+					t.Fatalf("%s %s constrained=%v: Evaluate %v ps, %d violations; FinalDelay %v ps, %d violations",
+						ckt.Name, eng, constrained, ev.DelayPs, ev.Violations, worst, viol)
+				}
+			}
+		}
+	}
+}
+
+// generate draws the named data set, at its own seed when seed is 0.
+func generate(t *testing.T, name string, seed int64) *circuit.Circuit {
+	t.Helper()
+	p, err := gen.Dataset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed != 0 {
+		p.Seed = seed
+	}
+	ckt, err := gen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckt
 }

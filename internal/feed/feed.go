@@ -265,21 +265,29 @@ func (p *pass) run(order []int) {
 
 // ChannelSpan returns the lowest and highest channel the net's terminals
 // touch, and the mean terminal column (the §3.1 search center). The
-// router's reroute-time feed re-assignment uses it too.
+// router's reroute-time feed re-assignment uses it too. The net's
+// terminals are its pads and its pins, which are disjoint (Validate
+// refuses a pad among net pins), so it walks both without building a
+// terminal list.
 func ChannelSpan(ckt *circuit.Circuit, net int) (minCh, maxCh int, center int) {
 	minCh, maxCh = math.MaxInt32, -1
 	sum, cnt := 0, 0
-	for _, t := range ckt.Terminals(net) {
-		for _, pos := range ckt.PositionsOf(t) {
-			if pos.Channel < minCh {
-				minCh = pos.Channel
-			}
-			if pos.Channel > maxCh {
-				maxCh = pos.Channel
-			}
+	var buf [8]circuit.Position
+	visit := func(t circuit.PinRef) {
+		for _, pos := range ckt.AppendPositionsOf(buf[:0], t) {
+			minCh = min(minCh, pos.Channel)
+			maxCh = max(maxCh, pos.Channel)
 			sum += pos.Col
 			cnt++
 		}
+	}
+	for i := range ckt.Ext {
+		if ckt.Ext[i].Net == net {
+			visit(circuit.Ext(i))
+		}
+	}
+	for _, p := range ckt.Nets[net].Pins {
+		visit(p)
 	}
 	if cnt > 0 {
 		center = sum / cnt

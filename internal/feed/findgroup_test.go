@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/gen"
 	"repro/internal/grid"
 )
 
@@ -114,6 +115,39 @@ func TestChannelSpanExported(t *testing.T) {
 	}
 	if center <= 0 || center >= ckt.Cols {
 		t.Fatalf("center %d out of range", center)
+	}
+}
+
+// TestChannelSpanMatchesTerminals compares ChannelSpan with the same
+// span taken over Terminals and PositionsOf, on every net of random
+// circuits with pads, pairs and datapath nets, and requires it to
+// allocate nothing.
+func TestChannelSpanMatchesTerminals(t *testing.T) {
+	for i := 0; i < 6; i++ {
+		p := gen.StressParams()
+		p.Seed, p.Cells, p.Rows, p.Datapath = int64(40+i), 150, 2+i, i%2 == 0
+		ckt, err := gen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range ckt.Nets {
+			wantMin, wantMax, sum, cnt := math.MaxInt32, -1, 0, 0
+			for _, term := range ckt.Terminals(n) {
+				for _, pos := range ckt.PositionsOf(term) {
+					wantMin, wantMax = min(wantMin, pos.Channel), max(wantMax, pos.Channel)
+					sum += pos.Col
+					cnt++
+				}
+			}
+			minCh, maxCh, center := ChannelSpan(ckt, n)
+			if minCh != wantMin || maxCh != wantMax || center != sum/cnt {
+				t.Fatalf("seed %d net %d: ChannelSpan (%d, %d, %d), terminals (%d, %d, %d)",
+					p.Seed, n, minCh, maxCh, center, wantMin, wantMax, sum/cnt)
+			}
+			if a := testing.AllocsPerRun(10, func() { ChannelSpan(ckt, n) }); a != 0 {
+				t.Fatalf("seed %d net %d: ChannelSpan allocates %v times", p.Seed, n, a)
+			}
+		}
 	}
 }
 

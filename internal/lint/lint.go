@@ -10,11 +10,10 @@
 // with go/types against the toolchain's export data — so the module keeps
 // zero external requirements.
 //
-// Four analyzers are registered (see docs/LINT.md for the full contract
+// Three analyzers are registered (see docs/LINT.md for the full contract
 // each one guards):
 //
 //   - maporder: `range` over a map in a deterministic package
-//   - floateq:  `==`/`!=` between floating-point operands
 //   - clockuse: time.Now/time.Since/math-rand in a deterministic package
 //   - locks:    Lock without a paired unlock on every return path
 //
@@ -28,7 +27,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -50,23 +48,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// MarshalJSON renders the diagnostic as a flat, machine-stable object.
-// Only the fields CI diffs are emitted — file (forward slashes), line,
-// column, analyzer, message — so the byte output is identical across
-// operating systems and `go list` orderings.
-func (d Diagnostic) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}{filepath.ToSlash(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-}
-
 // Relativize rewrites every diagnostic's file path to be relative to
-// base when possible, so output (and the -json golden files) does not
-// depend on where the tree is checked out.
+// base when possible, so output does not depend on where the tree is
+// checked out.
 func Relativize(diags []Diagnostic, base string) {
 	for i := range diags {
 		if rel, err := filepath.Rel(base, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -104,8 +88,8 @@ type Analyzer struct {
 
 // deterministicPkgs are the package names forming the deterministic
 // routing core: every one of them feeds, directly or transitively, the
-// byte-compared routedb output, so map iteration order, clock reads and
-// unkeyed float tie-breaks inside them are reproducibility bugs. Matching
+// byte-compared routedb output, so map iteration order and clock reads
+// inside them are reproducibility bugs. Matching
 // is by package name (not import path) so golden-test fixture packages
 // under testdata/ participate.
 var deterministicPkgs = map[string]bool{
@@ -121,14 +105,13 @@ var deterministicPkgs = map[string]bool{
 }
 
 // Deterministic reports whether a package is part of the deterministic
-// routing core that maporder, floateq and clockuse guard.
+// routing core that maporder and clockuse guard.
 func Deterministic(pkgName string) bool { return deterministicPkgs[pkgName] }
 
 // Analyzers returns the full registered suite, in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerMapOrder,
-		analyzerFloatEq,
 		analyzerClockUse,
 		analyzerLocks,
 	}

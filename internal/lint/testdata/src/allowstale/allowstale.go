@@ -16,7 +16,7 @@ func fine(xs []int) int {
 //bgr:allow notananalyzer -- no analyzer has this name
 var a = 1
 
-//bgr:allow floateq missing the reason separator
+//bgr:allow clockuse missing the reason separator
 var b = 2
 
 type ws struct {

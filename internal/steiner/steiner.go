@@ -205,7 +205,7 @@ func (r *run) weight(g *rgraph.Graph) func(e int) float64 {
 				c *= 1 + alpha*float64(over)
 			}
 		}
-		if c == 0 { //bgr:allow floateq -- guards against an exactly-zero-length edge cost before Dijkstra
+		if c == 0 { // only a zero-length edge needs a positive cost for Dijkstra
 			c = 1e-9
 		}
 		return c
