@@ -64,7 +64,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.Run(name+"/"+mode.tag, func(b *testing.B) {
 				var last experiment.Run
 				for i := 0; i < b.N; i++ {
-					run, err := experiment.RunCircuit(ckt, engine.DefaultName, core.Config{UseConstraints: mode.use})
+					run, err := experiment.RunCircuit(ckt, engine.DefaultName, engine.Config{UseConstraints: mode.use})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -101,7 +101,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkHeadline(b *testing.B) {
 	var h experiment.Headline
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunAll(core.Config{})
+		rows, err := experiment.RunAll(engine.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	ckt := circuit.SampleSmall()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Route(ckt, core.Config{UseConstraints: true})
+		res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkFigure2(b *testing.B) {
 
 // BenchmarkFigure3 renders a routing-graph dump (Fig. 3).
 func BenchmarkFigure3(b *testing.B) {
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func BenchmarkFigure3(b *testing.B) {
 
 // BenchmarkFigure4 renders the density chart (Fig. 4).
 func BenchmarkFigure4(b *testing.B) {
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func BenchmarkFigure4(b *testing.B) {
 
 // ablationRun routes C1P1 constrained with the given config and reports
 // delay/area so configurations can be compared.
-func ablationRun(b *testing.B, cfg core.Config) {
+func ablationRun(b *testing.B, cfg engine.Config) {
 	ckt := mustDataset(b, "C1P1")
 	cfg.UseConstraints = true
 	b.ResetTimer()
@@ -183,40 +183,38 @@ func ablationRun(b *testing.B, cfg core.Config) {
 // BenchmarkAblationCriteriaOrder (A1): density criteria promoted over
 // Gl/LD in every phase, not only the area phase.
 func BenchmarkAblationCriteriaOrder(b *testing.B) {
-	b.Run("paper", func(b *testing.B) { ablationRun(b, core.Config{}) })
-	b.Run("areaFirst", func(b *testing.B) { ablationRun(b, core.Config{AreaFirst: true}) })
+	b.Run("paper", func(b *testing.B) { ablationRun(b, engine.Config{}) })
+	b.Run("areaFirst", func(b *testing.B) { ablationRun(b, engine.Config{AreaFirst: true}) })
 }
 
 // BenchmarkAblationNetOrder (A3): slack-ordered feedthrough assignment vs
-// the alternative orderings.
+// index order.
 func BenchmarkAblationNetOrder(b *testing.B) {
-	b.Run("slack", func(b *testing.B) { ablationRun(b, core.Config{Order: core.OrderSlack}) })
-	b.Run("index", func(b *testing.B) { ablationRun(b, core.Config{Order: core.OrderIndex}) })
-	b.Run("hpwl", func(b *testing.B) { ablationRun(b, core.Config{Order: core.OrderHPWL}) })
-	b.Run("fanout", func(b *testing.B) { ablationRun(b, core.Config{Order: core.OrderFanout}) })
+	b.Run("slack", func(b *testing.B) { ablationRun(b, engine.Config{Order: engine.OrderSlack}) })
+	b.Run("index", func(b *testing.B) { ablationRun(b, engine.Config{Order: engine.OrderIndex}) })
 }
 
 // BenchmarkAblationRCModel (A4): lumped capacitance vs the Elmore RC
 // extension.
 func BenchmarkAblationRCModel(b *testing.B) {
-	b.Run("lumped", func(b *testing.B) { ablationRun(b, core.Config{}) })
+	b.Run("lumped", func(b *testing.B) { ablationRun(b, engine.Config{}) })
 	b.Run("elmore", func(b *testing.B) {
-		ablationRun(b, core.Config{DelayModel: core.Elmore, RPerUm: 0.0005})
+		ablationRun(b, engine.Config{DelayModel: engine.Elmore, RPerUm: 0.0005})
 	})
 }
 
 // BenchmarkAblationPhases (A5): initial routing only vs the full three
 // improvement phases.
 func BenchmarkAblationPhases(b *testing.B) {
-	b.Run("all", func(b *testing.B) { ablationRun(b, core.Config{}) })
-	b.Run("initialOnly", func(b *testing.B) { ablationRun(b, core.Config{SkipImprovement: true}) })
+	b.Run("all", func(b *testing.B) { ablationRun(b, engine.Config{}) })
+	b.Run("initialOnly", func(b *testing.B) { ablationRun(b, engine.Config{SkipImprovement: true}) })
 }
 
 // BenchmarkAblationFeedReroute (A6): feedthrough re-assignment during
 // rip-up and reroute disabled.
 func BenchmarkAblationFeedReroute(b *testing.B) {
-	b.Run("withRealloc", func(b *testing.B) { ablationRun(b, core.Config{}) })
-	b.Run("without", func(b *testing.B) { ablationRun(b, core.Config{NoFeedReroute: true}) })
+	b.Run("withRealloc", func(b *testing.B) { ablationRun(b, engine.Config{}) })
+	b.Run("without", func(b *testing.B) { ablationRun(b, engine.Config{NoFeedReroute: true}) })
 }
 
 // --- Microbenches of the router's hot kernels ---
@@ -373,7 +371,7 @@ func BenchmarkFeedAssign(b *testing.B) {
 }
 
 func BenchmarkChannelRoute(b *testing.B) {
-	res, err := core.Route(mustDataset(b, "C1P1"), core.Config{UseConstraints: true})
+	res, err := core.Route(mustDataset(b, "C1P1"), engine.Config{UseConstraints: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -424,7 +422,7 @@ func BenchmarkStressScale(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunCircuit(ckt, engine.DefaultName, core.Config{UseConstraints: true}); err != nil {
+		if _, err := experiment.RunCircuit(ckt, engine.DefaultName, engine.Config{UseConstraints: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -434,14 +432,14 @@ func BenchmarkStressScale(b *testing.B) {
 // core.ReOptimize on top of a finished routing (diminishing returns by
 // design: Route's own phases already converge).
 func BenchmarkIteratedECO(b *testing.B) {
-	prev, err := core.Route(mustDataset(b, "C1P2"), core.Config{UseConstraints: true})
+	prev, err := core.Route(mustDataset(b, "C1P2"), engine.Config{UseConstraints: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var delay float64
 	for i := 0; i < b.N; i++ {
-		eco, err := core.ReOptimize(prev, core.Config{UseConstraints: true})
+		eco, err := core.ReOptimize(prev, engine.Config{UseConstraints: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/gen"
@@ -26,7 +25,7 @@ import (
 type variant struct {
 	name string
 	note string
-	cfg  core.Config
+	cfg  engine.Config
 }
 
 func main() {
@@ -60,13 +59,13 @@ func ablations(dataset string) error {
 	}
 
 	variants := []variant{
-		{"paper", "full algorithm (reference)", core.Config{}},
-		{"A1-areaFirst", "density criteria before Gl/LD everywhere", core.Config{AreaFirst: true}},
-		{"A3-anyOrder", "feedthroughs assigned in index order", core.Config{Order: core.OrderIndex}},
-		{"A4-elmore", "Elmore RC delay model", core.Config{DelayModel: core.Elmore, RPerUm: 0.0005}},
-		{"A5-noImprove", "initial routing only", core.Config{SkipImprovement: true}},
-		{"A6-noFeedMove", "no feed re-assignment in rip-up", core.Config{NoFeedReroute: true}},
-		{"unconstrained", "the paper's baseline", core.Config{}},
+		{"paper", "full algorithm (reference)", engine.Config{}},
+		{"A1-areaFirst", "density criteria before Gl/LD everywhere", engine.Config{AreaFirst: true}},
+		{"A3-anyOrder", "feedthroughs assigned in index order", engine.Config{Order: engine.OrderIndex}},
+		{"A4-elmore", "Elmore RC delay model", engine.Config{DelayModel: engine.Elmore, RPerUm: 0.0005}},
+		{"A5-noImprove", "initial routing only", engine.Config{SkipImprovement: true}},
+		{"A6-noFeedMove", "no feed re-assignment in rip-up", engine.Config{NoFeedReroute: true}},
+		{"unconstrained", "the paper's baseline", engine.Config{}},
 	}
 
 	fmt.Printf("ablations on %s (lower bound %.1f ps)\n\n", dataset, lb)

@@ -16,7 +16,7 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/gen"
 	"repro/internal/report"
@@ -39,6 +39,9 @@ func main() {
 	if math.IsNaN(*rPerUm) || math.IsInf(*rPerUm, 0) || *rPerUm < 0 {
 		fatal(fmt.Errorf("-r %v: the wire resistance must be a finite non-negative number", *rPerUm))
 	}
+	if *robust < 0 {
+		fatal(fmt.Errorf("-robust %d: the number of seeds must not be negative (0 prints the tables)", *robust))
+	}
 
 	if *robust > 0 {
 		for _, style := range []gen.PlacementStyle{gen.P1, gen.P2} {
@@ -60,9 +63,9 @@ func main() {
 		return
 	}
 
-	cfg := core.Config{}
+	cfg := engine.Config{}
 	if *elmore {
-		cfg.DelayModel = core.Elmore
+		cfg.DelayModel = engine.Elmore
 		cfg.RPerUm = *rPerUm
 	}
 	rows, err := experiment.RunAll(cfg)

@@ -14,13 +14,14 @@ import (
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/routedb"
 )
 
 // routedbJSON routes with the given config and renders the complete
 // routing database, the strictest byte-level fingerprint of a run.
-func routedbJSON(t *testing.T, ckt *circuit.Circuit, cfg core.Config) []byte {
+func routedbJSON(t *testing.T, ckt *circuit.Circuit, cfg engine.Config) []byte {
 	t.Helper()
 	res, err := core.Route(ckt, cfg)
 	if err != nil {
@@ -43,7 +44,7 @@ func routedbJSON(t *testing.T, ckt *circuit.Circuit, cfg core.Config) []byte {
 
 // fingerprint renders a finished result's complete routing database, the
 // strictest byte-level fingerprint of a routing state.
-func fingerprint(t *testing.T, res *core.Result) []byte {
+func fingerprint(t *testing.T, res *engine.Result) []byte {
 	t.Helper()
 	cr, err := chanroute.Route(res.Ckt, res.Graphs)
 	if err != nil {
@@ -74,13 +75,13 @@ func TestReOptimizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Route(ckt, core.Config{UseConstraints: true, Workers: 1})
+	base, err := core.Route(ckt, engine.Config{UseConstraints: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []byte
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		res, err := core.ReOptimize(base, core.Config{UseConstraints: true, Workers: w})
+		res, err := core.ReOptimize(base, engine.Config{UseConstraints: true, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,9 +117,9 @@ func TestParallelScoringDeterministic(t *testing.T) {
 		}
 		for _, use := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/constraints=%v", name, use), func(t *testing.T) {
-				cfg := core.Config{UseConstraints: use}
+				cfg := engine.Config{UseConstraints: use}
 				want := routedbJSON(t, ckt, cfg)
-				var results [2]*core.Result
+				var results [2]*engine.Result
 				var errs [2]error
 				var wg sync.WaitGroup
 				for i := range results {

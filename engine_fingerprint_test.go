@@ -131,15 +131,15 @@ func TestConcurrentEngineFingerprints(t *testing.T) {
 	}
 	configs := []struct {
 		tag string
-		cfg core.Config
+		cfg engine.Config
 	}{
-		{"con", core.Config{UseConstraints: true}},
-		{"unc", core.Config{}},
-		{"area-first", core.Config{UseConstraints: true, AreaFirst: true}},
-		{"no-feed-reroute", core.Config{UseConstraints: true, NoFeedReroute: true}},
-		{"elmore", core.Config{UseConstraints: true, DelayModel: core.Elmore, RPerUm: 0.0005}},
+		{"con", engine.Config{UseConstraints: true}},
+		{"unc", engine.Config{}},
+		{"area-first", engine.Config{UseConstraints: true, AreaFirst: true}},
+		{"no-feed-reroute", engine.Config{UseConstraints: true, NoFeedReroute: true}},
+		{"elmore", engine.Config{UseConstraints: true, DelayModel: engine.Elmore, RPerUm: 0.0005}},
 	}
-	check := func(key string, res *core.Result) {
+	check := func(key string, res *engine.Result) {
 		t.Helper()
 		sum := sha256.Sum256(fingerprint(t, res))
 		if got := hex.EncodeToString(sum[:]); got != concurrentFingerprints[key] {
@@ -155,7 +155,7 @@ func TestConcurrentEngineFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var unc *core.Result
+		var unc *engine.Result
 		for _, c := range configs {
 			res, err := core.Route(ckt, c.cfg)
 			if err != nil {
@@ -166,7 +166,7 @@ func TestConcurrentEngineFingerprints(t *testing.T) {
 			}
 			check(name+"/"+c.tag, res)
 		}
-		eco, err := core.ReOptimize(unc, core.Config{UseConstraints: true})
+		eco, err := core.ReOptimize(unc, engine.Config{UseConstraints: true})
 		if err != nil {
 			t.Fatalf("%s/eco: %v", name, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/report"
 	"repro/internal/rgraph"
@@ -36,7 +37,7 @@ func main() {
 	fmt.Printf("clock net %q: pitch %d, %d terminals\n",
 		ckt.Nets[clk].Name, ckt.Nets[clk].Pitch, len(ckt.Terminals(clk)))
 
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,11 +10,12 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func main() {
 	ckt := circuit.SampleDiff()
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -24,7 +25,7 @@ func main() {
 
 	// First tape-out: routed with a deliberately poor net ordering, as if
 	// timing had not been a concern.
-	first, err := core.Route(ckt, core.Config{UseConstraints: true, Order: core.OrderIndex})
+	first, err := core.Route(ckt, engine.Config{UseConstraints: true, Order: engine.OrderIndex})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func main() {
 		first.Delay, first.Violations(), first.Dens.TotalTracks())
 
 	// The ECO: timing must improve; re-optimize in place.
-	eco, err := core.ReOptimize(first, core.Config{UseConstraints: true})
+	eco, err := core.ReOptimize(first, engine.Config{UseConstraints: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func main() {
 		eco.Delay, eco.Violations(), eco.Dens.TotalTracks(), accepted)
 
 	// For reference: what a from-scratch timing-driven route achieves.
-	scratch, err := core.Route(ckt, core.Config{UseConstraints: true})
+	scratch, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		log.Fatal(err)
 	}

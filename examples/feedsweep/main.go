@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chanroute"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -26,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Route(ckt, core.Config{UseConstraints: true})
+		res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 		if err != nil {
 			log.Fatal(err)
 		}

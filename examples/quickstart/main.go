@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/rgraph"
 )
@@ -25,7 +26,7 @@ func main() {
 
 	// Global routing with the paper's timing-driven heuristics.
 	// res.Phases records the Fig. 2 phases.
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/gen"
 )
@@ -27,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		row, err := experiment.RunGenerated(fmt.Sprintf("x%.2f", factor), ckt, core.Config{})
+		row, err := experiment.RunGenerated(fmt.Sprintf("x%.2f", factor), ckt, engine.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

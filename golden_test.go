@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/report"
 )
@@ -22,7 +22,7 @@ func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation in -short mode")
 	}
-	rows, err := experiment.RunAll(core.Config{})
+	rows, err := experiment.RunAll(engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

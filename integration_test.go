@@ -12,6 +12,7 @@ import (
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/gen"
 	"repro/internal/verify"
@@ -23,7 +24,7 @@ func TestDatasetsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset sweep in -short mode")
 	}
-	rows, err := experiment.RunAll(core.Config{})
+	rows, err := experiment.RunAll(engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestDatasetsVerify(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, use := range []bool{true, false} {
-			res, err := core.Route(ckt, core.Config{UseConstraints: use})
+			res, err := core.Route(ckt, engine.Config{UseConstraints: use})
 			if err != nil {
 				t.Fatalf("%s constraints=%v: %v", name, use, err)
 			}
@@ -114,7 +115,7 @@ func TestRandomCircuitsPipeline(t *testing.T) {
 			t.Logf("seed %d: generate: %v", seed, err)
 			return false
 		}
-		res, err := core.Route(ckt, core.Config{UseConstraints: true})
+		res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 		if err != nil {
 			t.Logf("seed %d: route: %v", seed, err)
 			return false
@@ -171,11 +172,11 @@ func TestGeneratedCircuitRoundTrip(t *testing.T) {
 		t.Fatal("format/parse/format not a fixed point on a generated circuit")
 	}
 	// And the parsed circuit routes identically.
-	r1, err := core.Route(ckt, core.Config{UseConstraints: true})
+	r1, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.Route(parsed, core.Config{UseConstraints: true})
+	r2, err := core.Route(parsed, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestStressScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestDatapathPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, use := range []bool{true, false} {
-		res, err := core.Route(ckt, core.Config{UseConstraints: use})
+		res, err := core.Route(ckt, engine.Config{UseConstraints: use})
 		if err != nil {
 			t.Fatalf("constraints=%v: %v", use, err)
 		}
@@ -247,7 +248,7 @@ func TestMultiSinkConstraintsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestElmoreDatasetVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Route(ckt, core.Config{UseConstraints: true, DelayModel: core.Elmore, RPerUm: 0.0005})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true, DelayModel: engine.Elmore, RPerUm: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestShippedCircuitFile(t *testing.T) {
 	if ckt.Name != "invchain" || len(ckt.Nets) != 5 {
 		t.Fatalf("unexpected content: %s, %d nets", ckt.Name, len(ckt.Nets))
 	}
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestLowerBoundDensityOnly(t *testing.T) {
@@ -85,7 +86,7 @@ func TestSolversRespectLowerBound(t *testing.T) {
 func TestRoutedChannelsNearBound(t *testing.T) {
 	// On a real routed circuit the left-edge router's total tracks stay
 	// close to the sum of per-channel lower bounds.
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

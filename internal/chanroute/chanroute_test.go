@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func seg(net, lo, hi int, pins ...Pin) *Segment {
@@ -202,7 +203,7 @@ func TestSolveTracksAtLeastDensity(t *testing.T) {
 func TestRouteEndToEnd(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiff} {
 		ckt := build()
-		gres, err := core.Route(ckt, core.Config{UseConstraints: true})
+		gres, err := core.Route(ckt, engine.Config{UseConstraints: true})
 		if err != nil {
 			t.Fatalf("%s: %v", ckt.Name, err)
 		}
@@ -241,7 +242,7 @@ func TestRouteEndToEnd(t *testing.T) {
 
 func TestExtractCoversEveryPin(t *testing.T) {
 	ckt := circuit.SampleSmall()
-	gres, err := core.Route(ckt, core.Config{UseConstraints: true})
+	gres, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

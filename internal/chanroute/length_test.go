@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
@@ -14,7 +15,7 @@ import (
 // single channel-1 segment from the driver tap to the receiver pin with a
 // pin jog at each end.
 func TestLengthAccountingHandExample(t *testing.T) {
-	res, err := core.Route(circuit.SampleDiff(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleDiff(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestLengthAccountingHandExample(t *testing.T) {
 // TestLengthIncludesFeedthroughs checks that each feedthrough contributes
 // exactly one row height.
 func TestLengthIncludesFeedthroughs(t *testing.T) {
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestLengthIncludesFeedthroughs(t *testing.T) {
 // TestAreaComposition: the chip height is rows + channel tracks, width is
 // the column count.
 func TestAreaComposition(t *testing.T) {
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/rgraph"
 )
@@ -39,11 +40,11 @@ func TestAllocGate(t *testing.T) {
 	}
 	configs := []struct {
 		name string
-		cfg  Config
+		cfg  engine.Config
 	}{
-		{"constrained", Config{UseConstraints: true}},
-		{"unconstrained", Config{}},
-		{"elmore", Config{UseConstraints: true, DelayModel: Elmore, RPerUm: 0.0005}},
+		{"constrained", engine.Config{UseConstraints: true}},
+		{"unconstrained", engine.Config{}},
+		{"elmore", engine.Config{UseConstraints: true, DelayModel: engine.Elmore, RPerUm: 0.0005}},
 	}
 	routed := make([]*router, len(ckts)) // the constrained routes
 	for i, ckt := range ckts {
@@ -51,7 +52,7 @@ func TestAllocGate(t *testing.T) {
 			t.Run("initial/"+ckt.Name+"/"+c.name, func(t *testing.T) {
 				r := newTestRouter(t, ckt, c.cfg)
 				r.selectEdge(nil, r.cfg.AreaFirst)
-				var ps PhaseStat
+				var ps engine.PhaseStat
 				var err error
 				if n := mallocs(func() { err = r.initialRouting(&ps) }); n != 0 {
 					t.Errorf("%d allocations over %d deletions, want 0", n, ps.Deletions)
@@ -88,7 +89,7 @@ func TestAllocGate(t *testing.T) {
 		})
 	}
 
-	sel := newTestRouter(t, genDataset(t, "C1P1"), Config{UseConstraints: true})
+	sel := newTestRouter(t, genDataset(t, "C1P1"), engine.Config{UseConstraints: true})
 	sweep := func(cold bool) func(*testing.T) {
 		return func(t *testing.T) {
 			if cold {
@@ -101,7 +102,7 @@ func TestAllocGate(t *testing.T) {
 			}
 		}
 	}
-	tim := newTestRouter(t, genDataset(t, "C3P1"), Config{UseConstraints: true})
+	tim := newTestRouter(t, genDataset(t, "C3P1"), engine.Config{UseConstraints: true})
 	step := 0
 	flush := func(*testing.T) {
 		step++

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/engine"
+)
 
 // BenchmarkSelectEdge measures one full §3.4 candidate-selection sweep
 // on a router built as Route builds it (newRouter), before any phase
@@ -10,7 +14,7 @@ func BenchmarkSelectEdge(b *testing.B) {
 	for _, name := range []string{"C1P1", "C3P1"} {
 		ckt := genDataset(b, name)
 		b.Run(name+"/cold", func(b *testing.B) {
-			r := newTestRouter(b, ckt, Config{UseConstraints: true})
+			r := newTestRouter(b, ckt, engine.Config{UseConstraints: true})
 			cold := func() {
 				for n := range r.graphs {
 					r.touchNet(n)
@@ -30,7 +34,7 @@ func BenchmarkSelectEdge(b *testing.B) {
 			}
 		})
 		b.Run(name+"/warm", func(b *testing.B) {
-			r := newTestRouter(b, ckt, Config{UseConstraints: true})
+			r := newTestRouter(b, ckt, engine.Config{UseConstraints: true})
 			r.selectEdge(nil, false)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -50,7 +54,7 @@ func BenchmarkDPrime(b *testing.B) {
 	for _, name := range []string{"C1P1", "C3P1"} {
 		ckt := genDataset(b, name)
 		b.Run(name, func(b *testing.B) {
-			r := newTestRouter(b, ckt, Config{UseConstraints: true})
+			r := newTestRouter(b, ckt, engine.Config{UseConstraints: true})
 			sweep := func() float64 {
 				var sum float64
 				for n, cands := range r.nbList {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 )
 
 // TestRouteCtxCancelMidPhase cancels the run from inside the first
@@ -15,9 +16,9 @@ import (
 func TestRouteCtxCancelMidPhase(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := Config{UseConstraints: true}
+	cfg := engine.Config{UseConstraints: true}
 	fired := false
-	cfg.Progress = func(p Progress) {
+	cfg.Progress = func(p engine.Progress) {
 		if !fired && p.Phase == "initial" {
 			fired = true
 			cancel()
@@ -43,7 +44,7 @@ func TestRouteCtxCancelMidPhase(t *testing.T) {
 func TestRouteCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RouteCtx(ctx, circuit.SampleSmall(), Config{}); !errors.Is(err, context.Canceled) {
+	if _, err := RouteCtx(ctx, circuit.SampleSmall(), engine.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RouteCtx error = %v, want wrapped context.Canceled", err)
 	}
 }
@@ -52,7 +53,7 @@ func TestRouteCtxPreCancelled(t *testing.T) {
 func TestRouteCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := RouteCtx(ctx, circuit.SampleSmall(), Config{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := RouteCtx(ctx, circuit.SampleSmall(), engine.Config{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RouteCtx error = %v, want wrapped context.DeadlineExceeded", err)
 	}
 }
@@ -61,8 +62,8 @@ func TestRouteCtxDeadline(t *testing.T) {
 // opens with a start event and closes with Done, counters are
 // monotonic within a phase, and Route's result matches the final events.
 func TestRouteProgressEvents(t *testing.T) {
-	var events []Progress
-	cfg := Config{UseConstraints: true, Progress: func(p Progress) { events = append(events, p) }}
+	var events []engine.Progress
+	cfg := engine.Config{UseConstraints: true, Progress: func(p engine.Progress) { events = append(events, p) }}
 	res, err := Route(circuit.SampleSmall(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +71,8 @@ func TestRouteProgressEvents(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no progress events")
 	}
-	done := map[string]Progress{}
-	last := map[string]Progress{}
+	done := map[string]engine.Progress{}
+	last := map[string]engine.Progress{}
 	for _, e := range events {
 		if prev, ok := last[e.Phase]; ok && !e.Done {
 			if e.Deletions < prev.Deletions || e.Reroutes < prev.Reroutes {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 )
 
 // conflictCircuit builds the canonical §3.4 tension: net X's driver has
@@ -67,7 +68,7 @@ func TestDelayCriteriaProtectCriticalRoute(t *testing.T) {
 	ckt := conflictCircuit(0)
 	ckt.Cons[0].Limit = xDelay(t, ckt, shortLen) + 1 // just above the short route
 
-	con := route(t, ckt, Config{UseConstraints: true})
+	con := route(t, ckt, engine.Config{UseConstraints: true})
 	if got := con.WirelenUm[0]; got > shortLen+1 {
 		t.Fatalf("constrained route took the detour: %v µm, want %v", got, shortLen)
 	}
@@ -75,7 +76,7 @@ func TestDelayCriteriaProtectCriticalRoute(t *testing.T) {
 		t.Fatalf("constrained run violated its constraint, margin %v", con.Margin(0))
 	}
 
-	unc := route(t, ckt, Config{UseConstraints: false})
+	unc := route(t, ckt, engine.Config{UseConstraints: false})
 	if got := unc.WirelenUm[0]; got < longLen-1 {
 		t.Fatalf("unconstrained route avoided the congestion-driven detour: %v µm, want %v", got, longLen)
 	}
@@ -96,11 +97,11 @@ func TestAreaFirstOrderingTradesDelayForDensity(t *testing.T) {
 	ckt := conflictCircuit(0)
 	ckt.Cons[0].Limit = xDelay(t, ckt, longLen) + 100 // both routes fit
 
-	paper := route(t, ckt, Config{UseConstraints: true})
+	paper := route(t, ckt, engine.Config{UseConstraints: true})
 	if got := paper.WirelenUm[0]; got > shortLen+1 {
 		t.Fatalf("paper ordering took the detour: %v µm", got)
 	}
-	areaFirst := route(t, ckt, Config{UseConstraints: true, AreaFirst: true})
+	areaFirst := route(t, ckt, engine.Config{UseConstraints: true, AreaFirst: true})
 	if got := areaFirst.WirelenUm[0]; got < longLen-1 {
 		t.Fatalf("area-first ordering kept the short route: %v µm, want the detour", got)
 	}

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
 // newTestRouter builds the router state (feed assignment, graphs, timing,
 // density) without running any routing phase.
-func newTestRouter(t testing.TB, ckt *circuit.Circuit, cfg Config) *router {
+func newTestRouter(t testing.TB, ckt *circuit.Circuit, cfg engine.Config) *router {
 	t.Helper()
 	r, err := newRouter(context.Background(), ckt, cfg)
 	if err != nil {
@@ -58,7 +59,7 @@ func TestPenaltyFiniteOnTinyLimits(t *testing.T) {
 			for p := range ckt.Cons {
 				ckt.Cons[p].Limit *= 0.001
 			}
-			r := newTestRouter(t, ckt, Config{UseConstraints: true})
+			r := newTestRouter(t, ckt, engine.Config{UseConstraints: true})
 			ctx := &nanCtx{Context: context.Background(), t: t, r: r}
 			r.ctx = ctx
 			if err := r.runPhase("initial", r.initialRouting); err != nil {
@@ -98,7 +99,7 @@ func (c *nanCtx) Err() error {
 }
 
 func TestDPrimeMatchesLengthExcluding(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
 			want := r.wl[n]
@@ -117,7 +118,7 @@ func TestDPrimeMatchesLengthExcluding(t *testing.T) {
 }
 
 func TestDelayCriteriaZeroForHarmlessEdges(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	for n, g := range r.graphs {
 		if len(r.dg.ConsOfNet(n)) > 0 {
 			continue // only check nets on no constrained path
@@ -133,7 +134,7 @@ func TestDelayCriteriaZeroForHarmlessEdges(t *testing.T) {
 }
 
 func TestDelayCriteriaNonNegative(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	for n, g := range r.graphs {
 		for _, e := range g.NonBridges() {
 			c := r.delayCriteria(n, e)
@@ -145,7 +146,7 @@ func TestDelayCriteriaNonNegative(t *testing.T) {
 }
 
 func TestDelayCriteriaCacheConsistent(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	n := 1
 	e := r.graphs[n].NonBridges()[0]
 	a := r.delayCriteria(n, e)
@@ -168,7 +169,7 @@ func TestDelayCriteriaCacheConsistent(t *testing.T) {
 func TestSelectEdgePrefersHarmless(t *testing.T) {
 	// The selected edge must have the (lexicographically) smallest delay
 	// criteria among all candidates.
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	best, ok := r.selectEdge(nil, false)
 	if !ok {
 		t.Fatal("no candidates")
@@ -188,7 +189,7 @@ func TestSelectEdgePrefersHarmless(t *testing.T) {
 }
 
 func TestLessIsStrictWeakOrder(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	var cands []candidate
 	var keys []candKey
 	for n, g := range r.graphs {
@@ -233,7 +234,7 @@ func TestLessIsStrictWeakOrder(t *testing.T) {
 		})
 	}
 	for _, on := range []bool{true, false} {
-		r := &router{cfg: Config{UseConstraints: on}}
+		r := &router{cfg: engine.Config{UseConstraints: on}}
 		for _, areaOrder := range []bool{false, true} {
 			less := func(i, j int) bool { return r.keyLess(&keys[i], &keys[j], cands[i], cands[j], areaOrder) }
 			for i := range keys {
@@ -260,7 +261,7 @@ func TestLessIsStrictWeakOrder(t *testing.T) {
 }
 
 func TestDensCompareTrunkFirst(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{})
 	var trunk, other candidate
 	trunk.net, other.net = -1, -1
 	for n, g := range r.graphs {
@@ -286,7 +287,7 @@ func TestDensCompareTrunkFirst(t *testing.T) {
 }
 
 func TestObjectiveTracksState(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	o := r.objective()
 	if o.tracks != r.dens.TotalTracks() {
 		t.Fatal("tracks mismatch")
@@ -301,7 +302,7 @@ func TestObjectiveTracksState(t *testing.T) {
 }
 
 func TestAcceptRules(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	base := objective{violations: 1, penalty: 5, tracks: 10, wirelen: 100}
 	if !r.acceptDelay(base, objective{violations: 0, penalty: 9, tracks: 12, wirelen: 120}) {
 		t.Fatal("fewer violations must be accepted")
@@ -330,7 +331,7 @@ func TestAcceptRules(t *testing.T) {
 }
 
 func TestReallocFeedsProposesOnlyFreeSlots(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	for n := range r.graphs {
 		pair, k := r.withMate(n)
 		nets := pair[:k]
@@ -354,7 +355,7 @@ func TestReallocFeedsProposesOnlyFreeSlots(t *testing.T) {
 }
 
 func TestSlotOwnerMatchesFeeds(t *testing.T) {
-	res, err := Route(circuit.SampleSmall(), Config{UseConstraints: true})
+	res, err := Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
@@ -12,7 +13,7 @@ import (
 // mirrored through the feedthrough edges, and feed re-assignment during
 // reroute keeps the pairing intact.
 func TestDiffPairAcrossRows(t *testing.T) {
-	for _, cfg := range []Config{
+	for _, cfg := range []engine.Config{
 		{UseConstraints: true},
 		{UseConstraints: true, NoFeedReroute: true},
 		{UseConstraints: false},

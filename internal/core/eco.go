@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
@@ -16,7 +17,7 @@ import (
 // The phases are Route's, run as eco-recover, eco-delay and eco-area.
 // cfg.SkipImprovement is ignored (re-optimization *is* the improvement);
 // the feedthrough assignment and chip widening are inherited from prev.
-func ReOptimize(prev *Result, cfg Config) (*Result, error) {
+func ReOptimize(prev *engine.Result, cfg engine.Config) (*engine.Result, error) {
 	if err := prev.Ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

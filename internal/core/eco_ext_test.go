@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/gen"
 	"repro/internal/verify"
 )
 
-func routeDataset(t *testing.T, name string, cfg core.Config) *core.Result {
+func routeDataset(t *testing.T, name string, cfg engine.Config) *engine.Result {
 	t.Helper()
 	p, err := gen.Dataset(name)
 	if err != nil {
@@ -29,7 +30,7 @@ func routeDataset(t *testing.T, name string, cfg core.Config) *core.Result {
 	return res
 }
 
-func snapshotAlive(res *core.Result) [][]bool {
+func snapshotAlive(res *engine.Result) [][]bool {
 	out := make([][]bool, len(res.Graphs))
 	for n, g := range res.Graphs {
 		out[n] = make([]bool, len(g.Edges))
@@ -43,7 +44,7 @@ func snapshotAlive(res *core.Result) [][]bool {
 // TestReOptimizePhaseError: an error raised at an ECO phase boundary must
 // come back from ReOptimize, not be swallowed into a partial result.
 func TestReOptimizePhaseError(t *testing.T) {
-	prev, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	prev, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestReOptimizePhaseError(t *testing.T) {
 		return nil
 	})
 	t.Cleanup(faultinject.Clear)
-	res, err := core.ReOptimize(prev, core.Config{UseConstraints: true})
+	res, err := core.ReOptimize(prev, engine.Config{UseConstraints: true})
 	if !errors.Is(err, injected) {
 		t.Fatalf("ReOptimize error = %v, want the injected fault", err)
 	}
@@ -65,10 +66,10 @@ func TestReOptimizePhaseError(t *testing.T) {
 }
 
 func TestReOptimizeLeavesPrevUntouched(t *testing.T) {
-	prev := routeDataset(t, "C1P1", core.Config{UseConstraints: true})
+	prev := routeDataset(t, "C1P1", engine.Config{UseConstraints: true})
 	before := snapshotAlive(prev)
 	prevDelay := prev.Delay
-	next, err := core.ReOptimize(prev, core.Config{UseConstraints: true})
+	next, err := core.ReOptimize(prev, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +98,9 @@ func TestReOptimizeLeavesPrevUntouched(t *testing.T) {
 // ordering, then re-optimizes: the ECO pass (rip-up with feed
 // re-assignment) must claw back a good share of the lost delay.
 func TestReOptimizeRecoversBadOrder(t *testing.T) {
-	bad := routeDataset(t, "C1P2", core.Config{UseConstraints: true, Order: core.OrderIndex})
-	good := routeDataset(t, "C1P2", core.Config{UseConstraints: true})
-	eco, err := core.ReOptimize(bad, core.Config{UseConstraints: true})
+	bad := routeDataset(t, "C1P2", engine.Config{UseConstraints: true, Order: engine.OrderIndex})
+	good := routeDataset(t, "C1P2", engine.Config{UseConstraints: true})
+	eco, err := core.ReOptimize(bad, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestReOptimizeRecoversBadOrder(t *testing.T) {
 // TestReOptimizeAfterTightening edits a constraint limit and re-optimizes:
 // the ECO phases see the new limit.
 func TestReOptimizeAfterTightening(t *testing.T) {
-	prev := routeDataset(t, "C1P1", core.Config{UseConstraints: true})
+	prev := routeDataset(t, "C1P1", engine.Config{UseConstraints: true})
 	// Tighten every met constraint to sit just above its current delay:
 	// margins shrink but stay non-negative; the ECO run must not create
 	// violations.
@@ -137,7 +138,7 @@ func TestReOptimizeAfterTightening(t *testing.T) {
 			prev.Ckt.Cons[p].Limit = worst * 1.01
 		}
 	}
-	eco, err := core.ReOptimize(prev, core.Config{UseConstraints: true})
+	eco, err := core.ReOptimize(prev, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +165,8 @@ func TestReOptimizeAfterTightening(t *testing.T) {
 // keeps the feedthroughs; a change that skips the plain reroute in
 // eco-recover and eco-delay accepts nothing and leaves all 7 violations.
 func TestReOptimizeAfterUnconstrainedRoute(t *testing.T) {
-	prev := routeDataset(t, "C2P1", core.Config{})
-	eco, err := core.ReOptimize(prev, core.Config{UseConstraints: true})
+	prev := routeDataset(t, "C2P1", engine.Config{})
+	eco, err := core.ReOptimize(prev, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestReOptimizeAfterUnconstrainedRoute(t *testing.T) {
 }
 
 func TestCloneGraphIndependence(t *testing.T) {
-	prev := routeDataset(t, "C1P1", core.Config{UseConstraints: true})
+	prev := routeDataset(t, "C1P1", engine.Config{UseConstraints: true})
 	g := prev.Graphs[0]
 	c := g.Clone()
 	// Mutating the clone must not touch the original.

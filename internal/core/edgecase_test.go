@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
@@ -45,7 +46,7 @@ func TestWidePitchNetCrossesRow(t *testing.T) {
 	if err := ckt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := route(t, ckt, Config{UseConstraints: true})
+	res := route(t, ckt, engine.Config{UseConstraints: true})
 	if res.AddedPitches < 3 {
 		t.Fatalf("AddedPitches = %d, want >= 3 (a 3-wide group)", res.AddedPitches)
 	}
@@ -97,7 +98,7 @@ func TestSingleRowChip(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := route(t, c, Config{UseConstraints: true})
+	res := route(t, c, engine.Config{UseConstraints: true})
 	for n, g := range res.Graphs {
 		if !g.IsTree() {
 			t.Fatalf("net %d not a tree", n)
@@ -107,8 +108,8 @@ func TestSingleRowChip(t *testing.T) {
 
 func TestElmoreConvergesToLumpedAtZeroR(t *testing.T) {
 	ckt := circuit.SampleSmall()
-	lum := route(t, ckt, Config{UseConstraints: true})
-	elm := route(t, ckt, Config{UseConstraints: true, DelayModel: Elmore, RPerUm: 0})
+	lum := route(t, ckt, engine.Config{UseConstraints: true})
+	elm := route(t, ckt, engine.Config{UseConstraints: true, DelayModel: engine.Elmore, RPerUm: 0})
 	// With zero wire resistance the Elmore wire term vanishes and the two
 	// models agree exactly (same topology, same lumped terms).
 	if math.Abs(lum.Delay-elm.Delay) > 1e-9 {
@@ -131,7 +132,7 @@ func TestCoincidentTerminals(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := route(t, c, Config{UseConstraints: true})
+	res := route(t, c, engine.Config{UseConstraints: true})
 	if res.WirelenUm[0] <= 0 {
 		t.Fatal("coincident-column net has zero wire (branch stubs must count)")
 	}

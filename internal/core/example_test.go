@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // ExampleRoute routes the sample circuit under its timing constraint and
 // reports the outcome.
 func ExampleRoute() {
 	ckt := circuit.SampleSmall()
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 )
 
 // sampleDiffSplit is sampleDiffTaps with a receiver whose halves drive
@@ -78,7 +79,7 @@ func TestTouchConsReachesEveryReader(t *testing.T) {
 	ckts := []*circuit.Circuit{sampleDiffSplit(), sampleDiffTaps(), circuit.SampleSmall()}
 	viaMate := 0
 	for _, ckt := range ckts {
-		r := newTestRouter(t, ckt, Config{UseConstraints: true})
+		r := newTestRouter(t, ckt, engine.Config{UseConstraints: true})
 		for p := range r.ckt.Cons {
 			r.selectEdge(nil, false)
 			for n := range r.graphs {
@@ -122,10 +123,10 @@ func TestTouchConsReachesEveryReader(t *testing.T) {
 func TestDeleteEdgeInvalidatesCriteria(t *testing.T) {
 	detours := 0
 	for _, build := range []func() *circuit.Circuit{sampleTapDetour, sampleDiffSplit, circuit.SampleSmall} {
-		base := newTestRouter(t, build(), Config{UseConstraints: true})
+		base := newTestRouter(t, build(), engine.Config{UseConstraints: true})
 		for n, g := range base.graphs {
 			for _, f := range g.NonBridges() {
-				r := newTestRouter(t, build(), Config{UseConstraints: true})
+				r := newTestRouter(t, build(), engine.Config{UseConstraints: true})
 				r.selectEdge(nil, false)
 				lens := map[int]float64{}
 				for _, e := range r.graphs[n].NonBridges() {

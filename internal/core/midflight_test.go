@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/density"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
@@ -53,7 +54,7 @@ func sampleDiffTaps() *circuit.Circuit {
 // the strongest incremental-bookkeeping check.
 func TestDensityConsistentAfterEveryDeletion(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiffCross, sampleDiffTaps} {
-		r := newTestRouter(t, build(), Config{UseConstraints: true})
+		r := newTestRouter(t, build(), engine.Config{UseConstraints: true})
 		rng := rand.New(rand.NewSource(61))
 		step := 0
 		for {
@@ -140,7 +141,7 @@ func checkNetChans(t *testing.T, r *router, step int) {
 // TestLongerEdgeTieBreak: with identical delay and density criteria the
 // longer edge is selected (§3.4's final condition).
 func TestLongerEdgeTieBreak(t *testing.T) {
-	r := newTestRouter(t, circuit.SampleSmall(), Config{UseConstraints: false})
+	r := newTestRouter(t, circuit.SampleSmall(), engine.Config{UseConstraints: false})
 	// Find two trunk candidates in the same channel with equal density
 	// context but different lengths — fall back to synthetic comparison.
 	var cands []candidate

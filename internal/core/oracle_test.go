@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/density"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/rgraph"
 )
@@ -71,24 +72,24 @@ func TestSelectEdgeMatchesFullRescore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total.add(runOracle(t, ckt, Config{UseConstraints: ci/2%2 == 0}, ci%3 == 0, int64(7000+ci)))
+			total.add(runOracle(t, ckt, engine.Config{UseConstraints: ci/2%2 == 0}, ci%3 == 0, int64(7000+ci)))
 		})
 	}
 	for _, constrained := range []bool{true, false} {
 		t.Run(fmt.Sprintf("diff-taps/constrained=%v", constrained), func(t *testing.T) {
 			ran++
-			total.add(runOracle(t, sampleDiffTaps(), Config{UseConstraints: constrained}, false, 61))
+			total.add(runOracle(t, sampleDiffTaps(), engine.Config{UseConstraints: constrained}, false, 61))
 		})
 	}
 	var checks, reroutes int
 	for ci, params := range cases {
 		for _, cfg := range []struct {
 			name string
-			cfg  Config
+			cfg  engine.Config
 		}{
-			{"constrained", Config{UseConstraints: true}},
-			{"area-first", Config{UseConstraints: true, AreaFirst: true}},
-			{"unconstrained", Config{}},
+			{"constrained", engine.Config{UseConstraints: true}},
+			{"area-first", engine.Config{UseConstraints: true, AreaFirst: true}},
+			{"unconstrained", engine.Config{}},
 		} {
 			t.Run(fmt.Sprintf("phases/case%02d/%s", ci, cfg.name), func(t *testing.T) {
 				ran++
@@ -137,7 +138,7 @@ func (c *oracleCtx) Err() error {
 // routeUnderOracle routes ckt as RouteCtx does, with the §3.5 phases
 // under an oracleCtx; runOracle covers the initial phase step by step. It
 // returns the number of oracle checks and of reroutes.
-func routeUnderOracle(t *testing.T, ckt *circuit.Circuit, cfg Config) (checks, reroutes int) {
+func routeUnderOracle(t *testing.T, ckt *circuit.Circuit, cfg engine.Config) (checks, reroutes int) {
 	t.Helper()
 	r := newTestRouter(t, ckt, cfg)
 	if err := r.runPhase("initial", r.initialRouting); err != nil {
@@ -174,7 +175,7 @@ func (s *ripUpStats) add(o ripUpStats) {
 // second random stream, so that the selection steps draw as they would
 // without them, interleaves rip-up steps; after each one every net and
 // the rerouted nets are checked.
-func runOracle(t *testing.T, ckt *circuit.Circuit, cfg Config, areaOrder bool, seed int64) ripUpStats {
+func runOracle(t *testing.T, ckt *circuit.Circuit, cfg engine.Config, areaOrder bool, seed int64) ripUpStats {
 	t.Helper()
 	r := newTestRouter(t, ckt, cfg)
 	rng := rand.New(rand.NewSource(seed))

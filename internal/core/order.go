@@ -1,38 +1,17 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/dgraph"
-	"repro/internal/lowerbound"
+	"repro/internal/engine"
 )
 
 // netOrder resolves the configured feedthrough-assignment net ordering
-// of dg's circuit. nil means index order (feed.Assign's default).
-func netOrder(dg *dgraph.Graph, cfg Config) []int {
-	ckt := dg.Ckt
-	switch cfg.Order {
-	case OrderSlack:
-		if !cfg.UseConstraints || len(ckt.Cons) == 0 {
-			return nil
-		}
-		return dg.SlackOrder()
-	case OrderHPWL:
-		hp := lowerbound.NetHPWL(ckt)
-		return orderByDesc(len(ckt.Nets), func(n int) float64 { return hp[n] })
-	case OrderFanout:
-		return orderByDesc(len(ckt.Nets), func(n int) float64 {
-			return float64(len(ckt.Fanouts(n)))
-		})
+// of dg's circuit: the paper's ascending static slack when Order is
+// OrderSlack, constraints are on and the circuit has some. nil means
+// index order (feed.Assign's default).
+func netOrder(dg *dgraph.Graph, cfg engine.Config) []int {
+	if cfg.Order != engine.OrderSlack || !cfg.UseConstraints || len(dg.Ckt.Cons) == 0 {
+		return nil
 	}
-	return nil
-}
-
-func orderByDesc(n int, key func(int) float64) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return key(order[a]) > key(order[b]) })
-	return order
+	return dg.SlackOrder()
 }

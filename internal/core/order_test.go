@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dgraph"
-	"repro/internal/lowerbound"
+	"repro/internal/engine"
 )
 
 func TestNetOrderStrategies(t *testing.T) {
@@ -15,38 +15,33 @@ func TestNetOrderStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slack: nil-safe, returns a permutation when constraints exist.
-	order := netOrder(dg, Config{UseConstraints: true})
+	order := netOrder(dg, engine.Config{UseConstraints: true})
 	if len(order) != len(ckt.Nets) {
 		t.Fatalf("slack order has %d entries", len(order))
 	}
 	// Slack degrades to index order without constraints.
-	if order = netOrder(dg, Config{UseConstraints: false}); order != nil {
+	if order = netOrder(dg, engine.Config{UseConstraints: false}); order != nil {
 		t.Fatalf("unconstrained slack order = %v", order)
 	}
-	// HPWL: descending half-perimeter.
-	order = netOrder(dg, Config{Order: OrderHPWL})
-	hp := lowerbound.NetHPWL(ckt)
-	for i := 1; i < len(order); i++ {
-		if hp[order[i-1]] < hp[order[i]] {
-			t.Fatalf("HPWL order not descending at %d", i)
-		}
+	// Slack degrades to index order on a circuit without constraints.
+	bare := circuit.SampleSmall()
+	bare.Cons = nil
+	dgBare, err := dgraph.New(bare)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Fanout: descending sink count.
-	order = netOrder(dg, Config{Order: OrderFanout})
-	for i := 1; i < len(order); i++ {
-		if len(ckt.Fanouts(order[i-1])) < len(ckt.Fanouts(order[i])) {
-			t.Fatalf("fanout order not descending at %d", i)
-		}
+	if order = netOrder(dgBare, engine.Config{UseConstraints: true}); order != nil {
+		t.Fatalf("slack order without constraints = %v", order)
 	}
 	// Index order overrides the slack default even with constraints.
-	if order = netOrder(dg, Config{UseConstraints: true, Order: OrderIndex}); order != nil {
+	if order = netOrder(dg, engine.Config{UseConstraints: true, Order: engine.OrderIndex}); order != nil {
 		t.Fatalf("index order = %v", order)
 	}
 }
 
 func TestOrderStrategyString(t *testing.T) {
-	for s, want := range map[OrderStrategy]string{
-		OrderSlack: "slack", OrderIndex: "index", OrderHPWL: "hpwl", OrderFanout: "fanout", 99: "?",
+	for s, want := range map[engine.OrderStrategy]string{
+		engine.OrderSlack: "slack", engine.OrderIndex: "index", 2: "?", 99: "?",
 	} {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", s, got, want)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/engine"
 )
 
 // TestWorkersConfigIdenticalResult checks, on the in-package sample
@@ -14,12 +15,12 @@ import (
 func TestWorkersConfigIdenticalResult(t *testing.T) {
 	for _, mk := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiff} {
 		ckt := mk()
-		base, err := Route(ckt, Config{UseConstraints: true})
+		base, err := Route(ckt, engine.Config{UseConstraints: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for run := 1; run <= 3; run++ {
-			res, err := Route(mk(), Config{UseConstraints: true})
+			res, err := Route(mk(), engine.Config{UseConstraints: true})
 			if err != nil {
 				t.Fatalf("run %d: %v", run, err)
 			}
@@ -58,7 +59,7 @@ func TestConcurrentScoringStress(t *testing.T) {
 			if i%2 == 1 {
 				ckt = circuit.SampleDiff()
 			}
-			if _, err := Route(ckt, Config{UseConstraints: true}); err != nil {
+			if _, err := Route(ckt, engine.Config{UseConstraints: true}); err != nil {
 				errs <- err
 			}
 		}(i)

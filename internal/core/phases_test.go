@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -19,11 +20,11 @@ func TestImprovementPhasesHelpOnC1P2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Route(ckt, Config{UseConstraints: true})
+	full, err := Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial, err := Route(ckt, Config{UseConstraints: true, SkipImprovement: true})
+	initial, err := Route(ckt, engine.Config{UseConstraints: true, SkipImprovement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestZeroConstraintCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckt.Cons = nil
-	res, err := Route(ckt, Config{UseConstraints: true})
+	res, err := Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,28 +209,16 @@ func (r *router) slotOwnerAt(row, col int) int {
 }
 
 // reallocFeeds proposes moving the nets' feedthroughs to the free slot
-// groups nearest the net's terminal center (column-aligned across rows,
-// as in the initial assignment). The result is aligned with nets
-// (out[i] replaces nets[i]'s feeds); it is nil when nothing would move.
+// groups nearest the net's terminal center, by the row walk of the
+// initial assignment (feed.Walk, §3.1) over the current feed rows, with
+// the nets' own slots counted as free. A pair moves as one 2-pitch group
+// (feed.Group). The result is aligned with nets (out[i] replaces
+// nets[i]'s feeds); it is nil when nothing would move.
 func (r *router) reallocFeeds(nets []int) [][]rgraph.FeedPos {
-	primary := nets[0]
-	cur := r.feeds[primary]
+	width, left, _ := feed.Group(r.ckt, nets[0])
+	cur := r.feeds[left]
 	if len(cur) == 0 {
 		return nil
-	}
-	width := r.ckt.Nets[primary].Pitch
-	mateShift := 0
-	leftOff := 0 // offset from the primary's column to the group's leftmost
-	if len(nets) == 2 {
-		// The pair occupies adjacent columns; preserve the current offset.
-		width = 2
-		mateShift = 1
-		if len(r.feeds[nets[1]]) > 0 {
-			mateShift = r.feeds[nets[1]][0].Col - cur[0].Col
-		}
-		if mateShift < 0 {
-			leftOff = mateShift
-		}
 	}
 	occupied := func(row, col int) bool {
 		owner := r.slotOwnerAt(row, col)
@@ -244,31 +232,27 @@ func (r *router) reallocFeeds(nets []int) [][]rgraph.FeedPos {
 		}
 		return true
 	}
-	_, _, target := feed.ChannelSpan(r.ckt, primary)
-	alt := make([]rgraph.FeedPos, 0, len(cur))
+	_, _, target := feed.ChannelSpan(r.ckt, nets[0])
+	alt := feed.Walk(make([]rgraph.FeedPos, 0, len(cur)), r.geo, occupied, cur[0].Row, cur[len(cur)-1].Row+1, width, target, false)
 	moved := false
-	for _, f := range cur {
-		curLeft := f.Col + leftOff
-		col := feed.FindGroup(r.geo, occupied, f.Row, width, target, width, false)
-		if col < 0 {
-			col = curLeft
+	for i := range alt {
+		if alt[i].Col < 0 {
+			alt[i].Col = cur[i].Col // no free group: the net keeps its column
 		}
-		if col != curLeft {
-			moved = true
-		}
-		alt = append(alt, rgraph.FeedPos{Row: f.Row, Col: col - leftOff})
-		target = col
+		moved = moved || alt[i].Col != cur[i].Col
 	}
 	if !moved {
 		return nil
 	}
-	out := [][]rgraph.FeedPos{alt}
-	if len(nets) == 2 {
-		mate := make([]rgraph.FeedPos, len(alt))
-		for i, f := range alt {
-			mate[i] = rgraph.FeedPos{Row: f.Row, Col: f.Col + mateShift}
-		}
-		out = append(out, mate)
+	if len(nets) == 1 {
+		return [][]rgraph.FeedPos{alt}
 	}
-	return out
+	right := make([]rgraph.FeedPos, len(alt))
+	for i, f := range alt {
+		right[i] = rgraph.FeedPos{Row: f.Row, Col: f.Col + 1}
+	}
+	if left == nets[0] {
+		return [][]rgraph.FeedPos{alt, right}
+	}
+	return [][]rgraph.FeedPos{right, alt}
 }

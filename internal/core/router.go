@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/density"
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/feed"
 	"repro/internal/grid"
@@ -18,7 +19,7 @@ import (
 
 type router struct {
 	ctx    context.Context
-	cfg    Config
+	cfg    engine.Config
 	ckt    *circuit.Circuit
 	geo    *grid.Geometry
 	feeds  [][]rgraph.FeedPos
@@ -80,7 +81,7 @@ type router struct {
 	// BuildInto recycles (see reroute.go).
 	graphPool []*rgraph.Graph
 
-	phases []PhaseStat
+	phases []engine.PhaseStat
 	// addedPitches is the §4.3 chip widening the routing inherits from
 	// feedthrough assignment, columns.
 	addedPitches int
@@ -129,14 +130,14 @@ type timStats struct {
 }
 
 // Route runs the full global routing algorithm on a validated circuit.
-func Route(ckt *circuit.Circuit, cfg Config) (*Result, error) {
+func Route(ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
 	return RouteCtx(context.Background(), ckt, cfg)
 }
 
 // RouteCtx is Route with cancellation: the run aborts promptly (between
 // edge deletions) when ctx is cancelled or its deadline passes, returning
 // an error that wraps ctx.Err(). A nil ctx means context.Background().
-func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, error) {
+func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -148,7 +149,7 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runPhase("initial", func(ps *PhaseStat) error { return r.initialRouting(ps) }); err != nil {
+	if err := r.runPhase("initial", func(ps *engine.PhaseStat) error { return r.initialRouting(ps) }); err != nil {
 		return nil, err
 	}
 	if !cfg.SkipImprovement {
@@ -171,7 +172,7 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 // RouteCtx and the package's tests and benchmarks start here, so a
 // benchmark of one selection sweep measures exactly the state Route
 // routes.
-func newRouter(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*router, error) {
+func newRouter(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*router, error) {
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -199,14 +200,14 @@ func newRouter(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*router, 
 
 // result packages the finished routing state, checking that every net
 // ended as a tree, and drops the graphs' scratch workspaces.
-func (r *router) result() (*Result, error) {
+func (r *router) result() (*engine.Result, error) {
 	for n, g := range r.graphs {
 		if !g.IsTree() {
 			return nil, fmt.Errorf("core: net %s did not finish as a tree", r.ckt.Nets[n].Name)
 		}
 		g.DropScratch()
 	}
-	res := &Result{
+	res := &engine.Result{
 		Ckt: r.ckt, Geo: r.geo, Feeds: r.feeds, Graphs: r.graphs,
 		WirelenUm: r.wl, Timing: r.tm, Dens: r.dens,
 		AddedPitches: r.addedPitches, Phases: r.phases,
@@ -218,7 +219,7 @@ func (r *router) result() (*Result, error) {
 	return res, nil
 }
 
-func (r *router) runPhase(name string, f func(*PhaseStat) error) error {
+func (r *router) runPhase(name string, f func(*engine.PhaseStat) error) error {
 	if err := r.check(); err != nil {
 		return err
 	}
@@ -227,8 +228,8 @@ func (r *router) runPhase(name string, f func(*PhaseStat) error) error {
 	if err := faultinject.Fire(faultinject.CorePhase, name); err != nil {
 		return fmt.Errorf("core: phase %s: %w", name, err)
 	}
-	ps := PhaseStat{Name: name}
-	r.emit(Progress{Phase: name, Violations: r.liveViolations()})
+	ps := engine.PhaseStat{Name: name}
+	r.emit(engine.Progress{Phase: name, Violations: r.liveViolations()})
 	selBefore := r.selStat
 	timBefore := r.timStat
 	start := time.Now() //bgr:allow clockuse -- profiling only: feeds PhaseStat.Duration, never steers routing
@@ -243,7 +244,7 @@ func (r *router) runPhase(name string, f func(*PhaseStat) error) error {
 	ps.TimingCons = r.timStat.cons - timBefore.cons
 	r.phases = append(r.phases, ps)
 	if err == nil {
-		r.emit(Progress{Phase: name, Deletions: ps.Deletions, Reroutes: ps.Reroutes,
+		r.emit(engine.Progress{Phase: name, Deletions: ps.Deletions, Reroutes: ps.Reroutes,
 			Accepted: ps.Accepted, Violations: r.liveViolations(), Done: true})
 	}
 	return err
@@ -263,18 +264,18 @@ func (r *router) check() error {
 }
 
 // emit delivers a progress snapshot to the configured callback.
-func (r *router) emit(p Progress) {
+func (r *router) emit(p engine.Progress) {
 	if r.cfg.Progress != nil {
 		r.cfg.Progress(p)
 	}
 }
 
 // emitPhase reports a phase's current counters mid-flight.
-func (r *router) emitPhase(ps *PhaseStat) {
+func (r *router) emitPhase(ps *engine.PhaseStat) {
 	if r.cfg.Progress == nil {
 		return
 	}
-	r.cfg.Progress(Progress{Phase: ps.Name, Deletions: ps.Deletions,
+	r.cfg.Progress(engine.Progress{Phase: ps.Name, Deletions: ps.Deletions,
 		Reroutes: ps.Reroutes, Accepted: ps.Accepted, Violations: r.liveViolations()})
 }
 
@@ -570,7 +571,7 @@ func (r *router) touchCons(p int) {
 // applyNetDelay pushes net n's delay into the timing model according to
 // the configured delay model.
 func (r *router) applyNetDelay(n int) {
-	if r.cfg.DelayModel == Elmore {
+	if r.cfg.DelayModel == engine.Elmore {
 		wire := r.graphs[n].ElmoreDelaysInto(r.elmBuf, r.trees[n], r.ckt, r.cfg.RPerUm)
 		r.elmBuf = wire
 		base := r.dg.LumpedArcDelay(n, r.wl[n])
@@ -629,7 +630,7 @@ func (r *router) deleteEdge(n, e int) error {
 
 // initialRouting is the Fig. 2 lines 04-07 loop: repeatedly select a
 // non-bridge edge over all nets with the §3.4 heuristics and delete it.
-func (r *router) initialRouting(ps *PhaseStat) error {
+func (r *router) initialRouting(ps *engine.PhaseStat) error {
 	areaOrder := r.cfg.AreaFirst
 	for {
 		best, ok := r.selectEdge(nil, areaOrder)
@@ -697,18 +698,18 @@ const maxPasses = 3
 // acceptance rule.
 func (r *router) improve(names [3]string) error {
 	if r.cfg.UseConstraints {
-		if err := r.runPhase(names[0], func(ps *PhaseStat) error {
+		if err := r.runPhase(names[0], func(ps *engine.PhaseStat) error {
 			return r.sweep(ps, r.criticalNets(true), r.cfg.AreaFirst, r.acceptDelay)
 		}); err != nil {
 			return err
 		}
-		if err := r.runPhase(names[1], func(ps *PhaseStat) error {
+		if err := r.runPhase(names[1], func(ps *engine.PhaseStat) error {
 			return r.sweep(ps, r.criticalNets(false), r.cfg.AreaFirst, r.acceptDelay)
 		}); err != nil {
 			return err
 		}
 	}
-	return r.runPhase(names[2], func(ps *PhaseStat) error {
+	return r.runPhase(names[2], func(ps *engine.PhaseStat) error {
 		return r.sweep(ps, r.congestedNets, true, r.acceptArea)
 	})
 }
@@ -717,7 +718,7 @@ func (r *router) improve(names [3]string) error {
 // pass hands the nets visit yields, in its order, to ripUpAndReroute,
 // which keeps a reroute only if accept approves it. The phase ends after
 // maxPasses passes or after a pass that keeps nothing.
-func (r *router) sweep(ps *PhaseStat, visit func(each func(n int) error) error, areaOrder bool, accept func(before, after objective) bool) error {
+func (r *router) sweep(ps *engine.PhaseStat, visit func(each func(n int) error) error, areaOrder bool, accept func(before, after objective) bool) error {
 	for pass := 0; pass < maxPasses; pass++ {
 		kept := false
 		err := visit(func(n int) error {

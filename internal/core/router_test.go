@@ -6,10 +6,11 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/density"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
-func route(t *testing.T, ckt *circuit.Circuit, cfg Config) *Result {
+func route(t *testing.T, ckt *circuit.Circuit, cfg engine.Config) *engine.Result {
 	t.Helper()
 	res, err := Route(ckt, cfg)
 	if err != nil {
@@ -19,7 +20,7 @@ func route(t *testing.T, ckt *circuit.Circuit, cfg Config) *Result {
 }
 
 func TestRouteSampleSmallConstrained(t *testing.T) {
-	res := route(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	res := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	for n, g := range res.Graphs {
 		if !g.IsTree() {
 			t.Errorf("net %s not a tree", res.Ckt.Nets[n].Name)
@@ -44,8 +45,8 @@ func TestRouteSampleSmallConstrained(t *testing.T) {
 
 func TestRouteUnconstrainedBaseline(t *testing.T) {
 	ckt := circuit.SampleSmall()
-	con := route(t, ckt, Config{UseConstraints: true})
-	unc := route(t, ckt, Config{UseConstraints: false})
+	con := route(t, ckt, engine.Config{UseConstraints: true})
+	unc := route(t, ckt, engine.Config{UseConstraints: false})
 	// The unconstrained run still reports delays on the constraint paths.
 	if unc.Delay <= 0 {
 		t.Fatal("unconstrained run must evaluate the constraint paths")
@@ -58,7 +59,7 @@ func TestRouteUnconstrainedBaseline(t *testing.T) {
 
 // rebuildDensity recomputes the density state from scratch from the final
 // graphs; it must match the incrementally maintained one.
-func rebuildDensity(res *Result) *density.State {
+func rebuildDensity(res *engine.Result) *density.State {
 	d := density.New(res.Ckt.Channels(), res.Ckt.Cols)
 	for _, g := range res.Graphs {
 		for _, e := range g.AliveEdges() {
@@ -76,7 +77,7 @@ func rebuildDensity(res *Result) *density.State {
 }
 
 func TestDensityStateConsistent(t *testing.T) {
-	for _, cfg := range []Config{{UseConstraints: true}, {UseConstraints: false}} {
+	for _, cfg := range []engine.Config{{UseConstraints: true}, {UseConstraints: false}} {
 		res := route(t, circuit.SampleSmall(), cfg)
 		want := rebuildDensity(res)
 		for ch := 0; ch < res.Ckt.Channels(); ch++ {
@@ -88,8 +89,8 @@ func TestDensityStateConsistent(t *testing.T) {
 }
 
 func TestRouteDeterministic(t *testing.T) {
-	a := route(t, circuit.SampleSmall(), Config{UseConstraints: true})
-	b := route(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	a := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
+	b := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if a.Delay != b.Delay || a.TotalWirelenUm != b.TotalWirelenUm {
 		t.Fatalf("non-deterministic: (%v,%v) vs (%v,%v)", a.Delay, a.TotalWirelenUm, b.Delay, b.TotalWirelenUm)
 	}
@@ -101,7 +102,7 @@ func TestRouteDeterministic(t *testing.T) {
 }
 
 func TestRouteDifferentialPairMirrored(t *testing.T) {
-	res := route(t, circuit.SampleDiff(), Config{UseConstraints: true})
+	res := route(t, circuit.SampleDiff(), engine.Config{UseConstraints: true})
 	// Nets 0 (q) and 1 (qb) must have identical alive edge sets.
 	ga, gb := res.Graphs[0], res.Graphs[1]
 	if len(ga.Edges) != len(gb.Edges) {
@@ -119,8 +120,8 @@ func TestRouteDifferentialPairMirrored(t *testing.T) {
 }
 
 func TestRouteElmoreModel(t *testing.T) {
-	lum := route(t, circuit.SampleSmall(), Config{UseConstraints: true})
-	elm := route(t, circuit.SampleSmall(), Config{UseConstraints: true, DelayModel: Elmore, RPerUm: 0.0005})
+	lum := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
+	elm := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true, DelayModel: engine.Elmore, RPerUm: 0.0005})
 	if elm.Delay <= 0 {
 		t.Fatal("Elmore run reported no delay")
 	}
@@ -132,7 +133,7 @@ func TestRouteElmoreModel(t *testing.T) {
 }
 
 func TestRoutePhasesTraced(t *testing.T) {
-	res := route(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	res := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	names := map[string]bool{}
 	for _, ps := range res.Phases {
 		names[ps.Name] = true
@@ -148,7 +149,7 @@ func TestRoutePhasesTraced(t *testing.T) {
 }
 
 func TestRouteSkipImprovement(t *testing.T) {
-	res := route(t, circuit.SampleSmall(), Config{UseConstraints: true, SkipImprovement: true})
+	res := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true, SkipImprovement: true})
 	if len(res.Phases) != 1 {
 		t.Fatalf("phases = %d, want 1", len(res.Phases))
 	}
@@ -165,7 +166,7 @@ func TestRouteSkipImprovement(t *testing.T) {
 // unchanged, which is what dPrime returns for it without a Dijkstra run.
 func TestTentativeCacheAblationExact(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiffCross} {
-		r := newTestRouter(t, build(), Config{UseConstraints: true})
+		r := newTestRouter(t, build(), engine.Config{UseConstraints: true})
 		checked := 0
 		for step := 0; ; step++ {
 			if step%4 == 0 {
@@ -204,7 +205,7 @@ func TestRouteInputUntouched(t *testing.T) {
 	ckt := circuit.SampleSmall()
 	cells := len(ckt.Cells)
 	cols := ckt.Cols
-	_ = route(t, ckt, Config{UseConstraints: true})
+	_ = route(t, ckt, engine.Config{UseConstraints: true})
 	if len(ckt.Cells) != cells || ckt.Cols != cols {
 		t.Fatal("Route mutated its input circuit")
 	}
@@ -214,7 +215,7 @@ func TestRouteInputUntouched(t *testing.T) {
 }
 
 func TestTerminalPositionsResolved(t *testing.T) {
-	res := route(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	res := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	// In the final trees every terminal connects through at least one of
 	// its candidate positions, and every used position is genuine.
 	for n, g := range res.Graphs {
@@ -238,7 +239,7 @@ func TestTerminalPositionsResolved(t *testing.T) {
 }
 
 func TestPhaseDeletionKinds(t *testing.T) {
-	res := route(t, circuit.SampleSmall(), Config{UseConstraints: true})
+	res := route(t, circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	initial := res.Phases[0]
 	sum := 0
 	for _, c := range initial.ByKind {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/rgraph"
 )
@@ -22,7 +23,7 @@ import (
 func TestVisitOrderMatchesNaive(t *testing.T) {
 	var unviolated, coverTies int
 	for _, name := range gen.DatasetNames() {
-		r := newTestRouter(t, genDataset(t, name), Config{UseConstraints: true})
+		r := newTestRouter(t, genDataset(t, name), engine.Config{UseConstraints: true})
 		if err := r.runPhase("initial", r.initialRouting); err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestVisitOrderMatchesNaive(t *testing.T) {
 // each group in index order. The data sets tie margins only among a
 // dozen constraints, which even an unstable sort orders by insertion.
 func TestVisitOrderTiesByIndex(t *testing.T) {
-	r := newTestRouter(t, genDataset(t, "C3P1"), Config{UseConstraints: true})
+	r := newTestRouter(t, genDataset(t, "C3P1"), engine.Config{UseConstraints: true})
 	if err := r.runPhase("initial", r.initialRouting); err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,6 @@ const (
 	OrderSlack OrderStrategy = iota
 	// OrderIndex takes nets in index order.
 	OrderIndex
-	// OrderHPWL assigns the longest half-perimeter nets first.
-	OrderHPWL
-	// OrderFanout assigns the highest-fanout nets first.
-	OrderFanout
 )
 
 func (s OrderStrategy) String() string {
@@ -42,10 +38,6 @@ func (s OrderStrategy) String() string {
 		return "slack"
 	case OrderIndex:
 		return "index"
-	case OrderHPWL:
-		return "hpwl"
-	case OrderFanout:
-		return "fanout"
 	}
 	return "?"
 }
@@ -53,7 +45,7 @@ func (s OrderStrategy) String() string {
 // Config is the one engine configuration: the knobs the service and the
 // commands expose per job, and the ablation switches of DESIGN.md §5.
 // Every engine reads the subset it understands and ignores the rest (each
-// field documents who honors it); core.Config is an alias of this type.
+// field documents who honors it).
 type Config struct {
 	// UseConstraints enables the timing criteria (all engines). With it
 	// false the run is the area-driven baseline; delays are still

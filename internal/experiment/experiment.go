@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
-	"repro/internal/core"
+	_ "repro/internal/core" // registers the default engine RunCircuit routes with
 	"repro/internal/dgraph"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -135,7 +135,7 @@ func analyze(g *dgraph.Graph, netLenUm []float64) *dgraph.Timing {
 }
 
 // RunDataset evaluates one named data set (e.g. "C1P1") in both modes.
-func RunDataset(name string, base core.Config) (*Row, error) {
+func RunDataset(name string, base engine.Config) (*Row, error) {
 	p, err := gen.Dataset(name)
 	if err != nil {
 		return nil, err
@@ -148,7 +148,7 @@ func RunDataset(name string, base core.Config) (*Row, error) {
 }
 
 // RunGenerated evaluates an already generated circuit in both modes.
-func RunGenerated(name string, ckt *circuit.Circuit, base core.Config) (*Row, error) {
+func RunGenerated(name string, ckt *circuit.Circuit, base engine.Config) (*Row, error) {
 	row := &Row{Name: name, Cells: logicCells(ckt), Nets: len(ckt.Nets), Cons: len(ckt.Cons)}
 	_, lb, err := lowerbound.Delay(ckt)
 	if err != nil {
@@ -179,7 +179,7 @@ func logicCells(ckt *circuit.Circuit) int {
 }
 
 // RunAll evaluates the paper's five data sets.
-func RunAll(base core.Config) ([]*Row, error) {
+func RunAll(base engine.Config) ([]*Row, error) {
 	var rows []*Row
 	for _, name := range gen.DatasetNames() {
 		row, err := RunDataset(name, base)

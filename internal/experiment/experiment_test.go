@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 )
@@ -15,7 +14,7 @@ import (
 func TestRunGeneratedSample(t *testing.T) {
 	// The hand-built sample is tiny, so a full two-mode evaluation is
 	// cheap and exercises the whole pipeline.
-	row, err := RunGenerated("sample", circuit.SampleSmall(), core.Config{})
+	row, err := RunGenerated("sample", circuit.SampleSmall(), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func TestRunDatasetC1P1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset run in -short mode")
 	}
-	row, err := RunDataset("C1P1", core.Config{})
+	row, err := RunDataset("C1P1", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestRunAllAndScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	rows, err := RunAll(core.Config{})
+	rows, err := RunAll(engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

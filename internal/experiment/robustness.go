@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -41,7 +41,7 @@ func Robustness(seeds int, style gen.PlacementStyle) (*RobustnessStats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %w", p.Seed, err)
 		}
-		row, err := RunGenerated(p.Name, ckt, core.Config{})
+		row, err := RunGenerated(p.Name, ckt, engine.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %w", p.Seed, err)
 		}

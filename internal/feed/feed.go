@@ -214,6 +214,7 @@ type pass struct {
 	shortfall []shortfallCount
 	reserved  []reservation
 	done      []bool
+	walk      []rgraph.FeedPos // run's Walk buffer, reused net after net
 }
 
 // addShortfall counts one unassignable width-w feedthrough in row r.
@@ -252,15 +253,65 @@ func (p *pass) run(order []int) {
 		if p.done[n] {
 			continue
 		}
-		mate := p.ckt.Nets[n].DiffMate
-		if mate != circuit.NoNet {
-			p.assignPair(n, mate)
-			p.done[n], p.done[mate] = true, true
-			continue
+		width, left, right := Group(p.ckt, n)
+		lo, hi, target := ChannelSpan(p.ckt, n)
+		p.walk = Walk(p.walk[:0], p.geo, p.occupiedAt, lo, hi, width, target, p.respectFlags)
+		for _, f := range p.walk {
+			if f.Col < 0 {
+				p.addShortfall(f.Row, width)
+				continue
+			}
+			p.take(f.Row, f.Col, width)
+			p.feeds[left] = append(p.feeds[left], f)
+			if right != circuit.NoNet {
+				p.feeds[right] = append(p.feeds[right], rgraph.FeedPos{Row: f.Row, Col: f.Col + 1})
+			}
 		}
-		p.assignNet(n, p.ckt.Nets[n].Pitch)
-		p.done[n] = true
+		p.done[left] = true
+		if right != circuit.NoNet {
+			p.done[right] = true
+		}
 	}
+}
+
+func (p *pass) occupiedAt(row, col int) bool { return p.occupied[row*p.cols+col] }
+
+// Group returns the width of net n's feedthrough group and which net
+// takes its left column. A plain net is its own group of Pitch slots
+// (left is n, right is NoNet). A differential pair is one 2-pitch group
+// (§4.1): the half whose terminals lie left takes column col and its mate
+// col+1. Validate makes every position of the mate the net's position
+// plus one constant shift, so the two terminal centers differ by exactly
+// that shift and their order tells the halves apart.
+func Group(ckt *circuit.Circuit, n int) (width, left, right int) {
+	mate := ckt.Nets[n].DiffMate
+	if mate == circuit.NoNet {
+		return ckt.Nets[n].Pitch, n, circuit.NoNet
+	}
+	_, _, cn := ChannelSpan(ckt, n)
+	_, _, cm := ChannelSpan(ckt, mate)
+	if cm < cn {
+		return 2, mate, n
+	}
+	return 2, n, mate
+}
+
+// Walk is the §3.1 row walk of one feedthrough group over rows lo..hi-1:
+// each row takes the free group of width slots nearest target
+// (FindGroup), and the next row aims at the column just found, keeping
+// the net column-aligned across rows. It appends one {Row, Col} per row
+// to dst and returns it. Col is -1 where a row has no free group; the
+// target then stays where it was. Walk takes nothing: the caller claims
+// the slots it keeps.
+func Walk(dst []rgraph.FeedPos, geo *grid.Geometry, occupied func(row, col int) bool, lo, hi, width, target int, respectFlags bool) []rgraph.FeedPos {
+	for r := lo; r < hi; r++ {
+		col := FindGroup(geo, occupied, r, width, target, width, respectFlags)
+		dst = append(dst, rgraph.FeedPos{Row: r, Col: col})
+		if col >= 0 {
+			target = col
+		}
+	}
+	return dst
 }
 
 // ChannelSpan returns the lowest and highest channel the net's terminals
@@ -295,19 +346,10 @@ func ChannelSpan(ckt *circuit.Circuit, net int) (minCh, maxCh int, center int) {
 	return minCh, maxCh, center
 }
 
-// findGroup locates the free compatible group of `width` adjacent slots in
-// a row whose center is nearest to target. It returns the leftmost column,
-// or -1 when none exists.
-func (p *pass) findGroup(row, width, target, flagWidth int) int {
-	occ := func(row, col int) bool { return p.occupied[row*p.cols+col] }
-	return FindGroup(p.geo, occ, row, width, target, flagWidth, p.respectFlags)
-}
-
 // FindGroup locates the group of `width` adjacent free feed slots in a row
 // whose center is nearest to target, honoring §4.3 width flags when
 // respectFlags is set. occupied reports taken slots. It returns the
-// leftmost column, or -1 when no group exists. Exported for the router's
-// rip-up-and-reroute feed re-assignment.
+// leftmost column, or -1 when no group exists.
 //
 // The search runs outward from the target (§3.1). Feed slots have
 // distinct columns, so window centers strictly increase along the row: a
@@ -359,71 +401,18 @@ func flagCompatible(flag, width int) bool {
 	return flag == width
 }
 
-func (p *pass) take(row, col, width, flagWidth int) {
+func (p *pass) take(row, col, width int) {
 	for j := 0; j < width; j++ {
 		p.occupied[row*p.cols+col+j] = true
 	}
-	if flagWidth >= 2 && !p.respectFlags {
+	if width >= 2 && !p.respectFlags {
 		// Remember the slots for width-flagging if insertion is needed.
 		// The group's slots are adjacent, from the one at col on.
 		slots := p.geo.FeedSlots(row)
 		i := p.geo.SlotIndex(row, col)
 		for _, s := range slots[i : i+width] {
 			cellCol := p.ckt.Cells[s.Cell].Col
-			p.reserved = append(p.reserved, reservation{row: row, cell: s.Cell, offset: s.Col - cellCol, flag: flagWidth})
+			p.reserved = append(p.reserved, reservation{row: row, cell: s.Cell, offset: s.Col - cellCol, flag: width})
 		}
 	}
-}
-
-// assignNet handles a plain (possibly multi-pitch) net.
-func (p *pass) assignNet(n, width int) {
-	minCh, maxCh, center := ChannelSpan(p.ckt, n)
-	target := center
-	for r := minCh; r < maxCh; r++ {
-		col := p.findGroup(r, width, target, width)
-		if col < 0 {
-			p.addShortfall(r, width)
-			continue
-		}
-		p.take(r, col, width, width)
-		p.feeds[n] = append(p.feeds[n], rgraph.FeedPos{Row: r, Col: col})
-		target = col // keep subsequent rows aligned (§3.1)
-	}
-}
-
-// assignPair handles a differential pair: both nets get adjacent columns in
-// every crossed row (the pair behaves as a 2-pitch net, §4.1/§4.2).
-func (p *pass) assignPair(a, b int) {
-	shift := pairShift(p.ckt, a, b)
-	left, right := a, b
-	if shift < 0 {
-		left, right = b, a
-	}
-	minCh, maxCh, center := ChannelSpan(p.ckt, a)
-	target := center
-	for r := minCh; r < maxCh; r++ {
-		col := p.findGroup(r, 2, target, 2)
-		if col < 0 {
-			p.addShortfall(r, 2)
-			continue
-		}
-		p.take(r, col, 2, 2)
-		p.feeds[left] = append(p.feeds[left], rgraph.FeedPos{Row: r, Col: col})
-		p.feeds[right] = append(p.feeds[right], rgraph.FeedPos{Row: r, Col: col + 1})
-		target = col
-	}
-}
-
-// pairShift returns the column shift from net a's terminals to net b's
-// (validated constant by circuit.Validate).
-func pairShift(ckt *circuit.Circuit, a, b int) int {
-	ta, tb := ckt.Terminals(a), ckt.Terminals(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 1
-	}
-	pa, pb := ckt.PositionsOf(ta[0]), ckt.PositionsOf(tb[0])
-	if len(pa) == 0 || len(pb) == 0 {
-		return 1
-	}
-	return pb[0].Col - pa[0].Col
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/dgraph"
@@ -73,27 +75,20 @@ type Params struct {
 }
 
 // Dataset returns the preset parameters of the paper-style data sets
-// C1P1, C1P2, C2P1, C2P2, C3P1 (Table 1).
+// C1P1, C1P2, C2P1, C2P2, C3P1 (Table 1), and refuses every other name.
 func Dataset(name string) (Params, error) {
+	if !slices.Contains(DatasetNames(), name) {
+		return Params{}, fmt.Errorf("gen: unknown data set %q (the data sets are %s)", name, strings.Join(DatasetNames(), ", "))
+	}
 	base := map[string]Params{
 		"C1": {Cells: 240, Rows: 6, Seed: 101, Constraints: 8, DiffPairs: 3, PIs: 12, POs: 10},
 		"C2": {Cells: 480, Rows: 8, Seed: 202, Constraints: 12, DiffPairs: 5, PIs: 16, POs: 14},
 		"C3": {Cells: 860, Rows: 10, Seed: 303, Constraints: 18, DiffPairs: 8, PIs: 20, POs: 18},
 	}
-	if len(name) != 4 {
-		return Params{}, fmt.Errorf("gen: unknown data set %q", name)
-	}
-	p, ok := base[name[:2]]
-	if !ok {
-		return Params{}, fmt.Errorf("gen: unknown circuit %q", name[:2])
-	}
-	switch name[2:] {
-	case "P1":
-		p.Style = P1
-	case "P2":
+	p := base[name[:2]]
+	p.Style = P1
+	if name[2:] == "P2" {
 		p.Style = P2
-	default:
-		return Params{}, fmt.Errorf("gen: unknown placement %q", name[2:])
 	}
 	p.Name = name
 	p.SeqFrac = 0.18

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -19,11 +20,17 @@ func TestDatasetPresets(t *testing.T) {
 			t.Fatalf("%s: incomplete preset %+v", name, p)
 		}
 	}
-	if _, err := Dataset("C9P1"); err == nil {
-		t.Fatal("unknown circuit accepted")
-	}
-	if _, err := Dataset("C1P9"); err == nil {
-		t.Fatal("unknown placement accepted")
+	// Every name outside DatasetNames is refused with one error that
+	// quotes the whole input and lists the five names.
+	for _, name := range []string{"C9P1", "C1P9", "C3P2", "NOPE", "c1p1", ""} {
+		_, err := Dataset(name)
+		if err == nil {
+			t.Fatalf("%q accepted", name)
+		}
+		want := fmt.Sprintf("gen: unknown data set %q (the data sets are C1P1, C1P2, C2P1, C2P2, C3P1)", name)
+		if err.Error() != want {
+			t.Fatalf("Dataset(%q) error %q, want %q", name, err, want)
+		}
 	}
 	// P1 and P2 differ only in placement style.
 	a, _ := Dataset("C1P1")

@@ -218,19 +218,6 @@ func (j *Journal) Append(kind Kind, data []byte) error {
 	return nil
 }
 
-// Sync flushes buffered appends and fsyncs, regardless of policy.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
 // Close flushes, fsyncs and closes the file. Further appends return
 // ErrClosed. Close is idempotent.
 func (j *Journal) Close() error {

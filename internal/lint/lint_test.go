@@ -154,21 +154,6 @@ outer:
 	}
 }
 
-// TestLoadCache pins the per-process load memoization: repeating the
-// same (dir, patterns) request must return the identical packages, not a
-// re-parsed copy, so fixture-heavy test runs pay for go list and the
-// type checker once per distinct request.
-func TestLoadCache(t *testing.T) {
-	first := loadFixture(t, "maporder")
-	second := loadFixture(t, "maporder")
-	if first[0] != second[0] {
-		t.Fatalf("repeated Load returned a fresh package: %p vs %p", first[0], second[0])
-	}
-	if first[0].Fset != second[0].Fset {
-		t.Fatal("repeated Load rebuilt the shared FileSet")
-	}
-}
-
 // TestLoadFailsOnBadPattern pins bgr-vet's exit-2 contract: a pattern
 // that go list rejects fails the load, and bgr-vet exits 2, instead of
 // vetting nothing and reporting a clean run.

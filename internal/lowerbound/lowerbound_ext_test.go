@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/lowerbound"
 )
 
@@ -17,7 +18,7 @@ func TestDelayIsALowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestDelayIsALowerBound(t *testing.T) {
 func TestHPWLNeverExceedsRoutedLength(t *testing.T) {
 	ckt := circuit.SampleSmall()
 	hp := lowerbound.NetHPWL(ckt)
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Layout draws the routed chip top-down: channels as base-36 density
 // profiles, rows as cell maps ('#' logic cell, 'F' feed cell, '|' a used
 // feedthrough column).
-func Layout(res *core.Result) string {
+func Layout(res *engine.Result) string {
 	ckt := res.Ckt
 	var b strings.Builder
 	fmt.Fprintf(&b, "layout %s: %d cols x %d rows (+%d channels)\n", ckt.Name, ckt.Cols, ckt.Rows, ckt.Channels())

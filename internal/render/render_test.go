@@ -6,10 +6,11 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestLayoutDrawsEverything(t *testing.T) {
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
@@ -14,7 +14,7 @@ import (
 // lighter), channels sized by their final track counts, per-net colored
 // trunk segments on their assigned tracks, pin jogs and feedthroughs.
 // The channel-routing result supplies the vertical geometry.
-func SVG(res *core.Result, cr *chanroute.Result) string {
+func SVG(res *engine.Result, cr *chanroute.Result) string {
 	ckt := res.Ckt
 	t := ckt.Tech
 	scale := 1.0 // 1 SVG unit per µm

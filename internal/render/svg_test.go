@@ -7,10 +7,11 @@ import (
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestSVGWellFormedAndComplete(t *testing.T) {
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/routedb"
 )
 
@@ -47,7 +48,7 @@ func TestFreshRouteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/chanroute"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rgraph"
 )
 
@@ -70,7 +70,7 @@ type PinConn struct {
 
 // Build assembles the database from a global routing and its channel
 // routing.
-func Build(res *core.Result, cr *chanroute.Result) (*DB, error) {
+func Build(res *engine.Result, cr *chanroute.Result) (*DB, error) {
 	ckt := res.Ckt
 	db := &DB{
 		Circuit:  ckt.Name,

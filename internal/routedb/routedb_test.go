@@ -8,11 +8,12 @@ import (
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
-func buildDB(t *testing.T) (*core.Result, *chanroute.Result, *DB) {
+func buildDB(t *testing.T) (*engine.Result, *chanroute.Result, *DB) {
 	t.Helper()
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

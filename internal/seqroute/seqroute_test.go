@@ -69,7 +69,7 @@ func TestRouteSampleSmall(t *testing.T) {
 func TestBaselineVersusConcurrent(t *testing.T) {
 	ckt := c1p1(t)
 	seq := route(t, ckt, engine.Config{UseConstraints: true})
-	con, err := core.Route(ckt, core.Config{UseConstraints: true})
+	con, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,9 +89,10 @@ func mustJSONString(s string) string {
 	return b.String()
 }
 
-// TestConfigBounds: non-finite or negative JobConfig numbers, and a
-// non-zero value in a field that can no longer be set, are client errors
-// (400), never routing work.
+// TestConfigBounds: non-finite or negative JobConfig numbers, a
+// non-zero value in a field that can no longer be set, and an unknown
+// delay model or net order are client errors (400, "bad config"), never
+// routing work.
 func TestConfigBounds(t *testing.T) {
 	cktText := readExample(t)
 	svc := New(Options{Workers: 1, Logf: func(string, ...any) {}})
@@ -108,12 +109,17 @@ func TestConfigBounds(t *testing.T) {
 		"alpha":    {Alpha: 2},
 		"target":   {TargetTracks: 3},
 		"greedy":   {GreedyChannels: true},
+		"hpwl":     {Order: "hpwl"},
+		"fanout":   {Order: "fanout"},
+		"model":    {DelayModel: "rc"},
 	} {
 		cfg := jc
 		if _, err := svc.Submit(SubmitRequest{Circuit: cktText, Config: &cfg}); err == nil {
 			t.Errorf("%s: bad config accepted", name)
 		} else if errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s: config error misclassified as too-large: %v", name, err)
+		} else if !strings.HasPrefix(err.Error(), "bad config: ") {
+			t.Errorf("%s: error %q does not start with bad config", name, err)
 		}
 	}
 
@@ -128,6 +134,9 @@ func TestConfigBounds(t *testing.T) {
 		"neg-rperum":  `{"r_per_um":-0.5}`,
 		"alpha":       `{"alpha":2}`,
 		"greedy":      `{"greedy_channels":true}`,
+		"hpwl":        `{"order":"hpwl"}`,
+		"fanout":      `{"order":"fanout"}`,
+		"model":       `{"delay_model":"rc"}`,
 	} {
 		body := `{"circuit":` + mustJSONString(cktText) + `,"config":` + cfg + `}`
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))

@@ -187,7 +187,7 @@ type JobConfig struct {
 	RPerUm          float64 `json:"r_per_um,omitempty"`
 	AreaFirst       bool    `json:"area_first,omitempty"`
 	SkipImprovement bool    `json:"skip_improvement,omitempty"`
-	Order           string  `json:"order,omitempty"` // "", "slack", "index", "hpwl", "fanout"
+	Order           string  `json:"order,omitempty"` // "", "slack", "index"
 	NoFeedReroute   bool    `json:"no_feed_reroute,omitempty"`
 	// Workers and Shards are deprecated and ignored: the per-run scoring
 	// worker count and the selection shard count they used to set no
@@ -266,10 +266,6 @@ func (jc JobConfig) toEngine() (engine.Config, error) {
 	case "", "slack":
 	case "index":
 		cfg.Order = engine.OrderIndex
-	case "hpwl":
-		cfg.Order = engine.OrderHPWL
-	case "fanout":
-		cfg.Order = engine.OrderFanout
 	default:
 		return cfg, fmt.Errorf("unknown order %q", jc.Order)
 	}
@@ -521,7 +517,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 	}
 	cfg, err := jc.toEngine()
 	if err != nil {
-		return SubmitResult{}, err
+		return SubmitResult{}, fmt.Errorf("bad config: %w", err)
 	}
 	timeout := s.opts.JobTimeout
 	if t := time.Duration(req.TimeoutMs) * time.Millisecond; t > 0 && t < timeout {

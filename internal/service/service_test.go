@@ -19,6 +19,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/report"
 	"repro/internal/routedb"
 )
@@ -43,7 +44,7 @@ func directRun(t *testing.T, cktText string) (dbJSON []byte, timing string, sum 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

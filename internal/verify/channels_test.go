@@ -6,12 +6,13 @@ import (
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
 func channelResult(t *testing.T, ckt *circuit.Circuit) *chanroute.Result {
 	t.Helper()
-	res, err := core.Route(ckt, core.Config{UseConstraints: true})
+	res, err := core.Route(ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

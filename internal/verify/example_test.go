@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/verify"
 )
 
 // ExampleRouting audits a clean routing and a corrupted one.
 func ExampleRouting() {
-	res, err := core.Route(circuit.SampleSmall(), core.Config{UseConstraints: true})
+	res, err := core.Route(circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -17,8 +17,8 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/density"
+	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/rgraph"
 )
@@ -60,8 +60,8 @@ type Parts struct {
 	CheckPairs bool
 }
 
-// Routing audits a core.Result (all rules enabled).
-func Routing(r *core.Result) *Result {
+// Routing audits an engine.Result (all rules enabled).
+func Routing(r *engine.Result) *Result {
 	return Check(Parts{
 		Ckt: r.Ckt, Geo: r.Geo, Feeds: r.Feeds, Graphs: r.Graphs,
 		WirelenUm: r.WirelenUm, Dens: r.Dens, CheckPairs: true,

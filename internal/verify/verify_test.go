@@ -6,11 +6,12 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/rgraph"
 )
 
-func routeSample(t *testing.T, build func() *circuit.Circuit, cfg core.Config) *core.Result {
+func routeSample(t *testing.T, build func() *circuit.Circuit, cfg engine.Config) *engine.Result {
 	t.Helper()
 	res, err := core.Route(build(), cfg)
 	if err != nil {
@@ -20,10 +21,10 @@ func routeSample(t *testing.T, build func() *circuit.Circuit, cfg core.Config) *
 }
 
 func TestCleanRoutingsPass(t *testing.T) {
-	for _, cfg := range []core.Config{
+	for _, cfg := range []engine.Config{
 		{UseConstraints: true},
 		{UseConstraints: false},
-		{UseConstraints: true, DelayModel: core.Elmore, RPerUm: 0.0005},
+		{UseConstraints: true, DelayModel: engine.Elmore, RPerUm: 0.0005},
 		{UseConstraints: true, NoFeedReroute: true},
 	} {
 		for _, build := range []func() *circuit.Circuit{circuit.SampleSmall, circuit.SampleDiff} {
@@ -46,7 +47,7 @@ func TestGeneratedDatasetPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, use := range []bool{true, false} {
-		res, err := core.Route(ckt, core.Config{UseConstraints: use})
+		res, err := core.Route(ckt, engine.Config{UseConstraints: use})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestGeneratedDatasetPasses(t *testing.T) {
 }
 
 func TestDetectsSharedFeedSlot(t *testing.T) {
-	res := routeSample(t, circuit.SampleSmall, core.Config{UseConstraints: true})
+	res := routeSample(t, circuit.SampleSmall, engine.Config{UseConstraints: true})
 	// Corrupt: point one net's feedthrough at another net's slot.
 	var donor, victim = -1, -1
 	for n := range res.Feeds {
@@ -93,7 +94,7 @@ func TestDetectsSharedFeedSlot(t *testing.T) {
 }
 
 func TestDetectsBrokenDiffParallelism(t *testing.T) {
-	res := routeSample(t, circuit.SampleDiff, core.Config{UseConstraints: true})
+	res := routeSample(t, circuit.SampleDiff, engine.Config{UseConstraints: true})
 	// Corrupt: shift one alive trunk edge of net qb.
 	g := res.Graphs[1]
 	for e := range g.Edges {
@@ -116,7 +117,7 @@ func TestDetectsBrokenDiffParallelism(t *testing.T) {
 }
 
 func TestDetectsWrongLength(t *testing.T) {
-	res := routeSample(t, circuit.SampleSmall, core.Config{UseConstraints: true})
+	res := routeSample(t, circuit.SampleSmall, engine.Config{UseConstraints: true})
 	res.WirelenUm[0] += 100
 	v := Routing(res)
 	hit := false
@@ -131,7 +132,7 @@ func TestDetectsWrongLength(t *testing.T) {
 }
 
 func TestDetectsMissingFeed(t *testing.T) {
-	res := routeSample(t, circuit.SampleSmall, core.Config{UseConstraints: true})
+	res := routeSample(t, circuit.SampleSmall, engine.Config{UseConstraints: true})
 	for n := range res.Feeds {
 		if len(res.Feeds[n]) > 0 {
 			res.Feeds[n] = res.Feeds[n][:len(res.Feeds[n])-1]

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/service"
 )
@@ -45,14 +46,14 @@ func TestConcurrentWorkerCountsIdentical(t *testing.T) {
 	ckt := stressCircuit(t)
 	const routes = 4
 	for round := 0; round < 2; round++ {
-		results := make([]*core.Result, routes)
+		results := make([]*engine.Result, routes)
 		errs := make([]error, routes)
 		var wg sync.WaitGroup
 		for i := range results {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = core.Route(ckt, core.Config{UseConstraints: true})
+				results[i], errs[i] = core.Route(ckt, engine.Config{UseConstraints: true})
 			}(i)
 		}
 		wg.Wait()
@@ -102,7 +103,7 @@ func TestShardWorkerMatrixIdentical(t *testing.T) {
 			if err := circuit.Format(&text, ckt); err != nil {
 				t.Fatal(err)
 			}
-			seq, err := core.Route(ckt, core.Config{UseConstraints: true, Workers: 1})
+			seq, err := core.Route(ckt, engine.Config{UseConstraints: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestShardWorkerMatrixIdentical(t *testing.T) {
 // not mutated through any backing array the identity check missed.
 func TestConsecutiveRoutesShareNoBackingArrays(t *testing.T) {
 	ckt := stressCircuit(t)
-	cfg := core.Config{UseConstraints: true}
+	cfg := engine.Config{UseConstraints: true}
 
 	resA, err := core.Route(ckt, cfg)
 	if err != nil {
